@@ -3,7 +3,6 @@
 //!
 //! ```text
 //! perfsuite [--label L] [--trials N] [--metrics-dir DIR]
-//!           [--sim-engine interp|threaded]
 //!           [--check] [--threshold PCT] [--baseline PATH]
 //!           [--summary PATH]
 //! ```
@@ -29,14 +28,10 @@
 //! table to `PATH` — pass `$GITHUB_STEP_SUMMARY` in CI to surface the
 //! comparison on the run page.
 //!
-//! `--sim-engine` selects the simulator for every workload: `threaded`
-//! (default) is the pre-lowered direct-threaded engine, `interp` the
-//! tree-walking reference — an interleaved pair of runs is the
-//! before/after table in EXPERIMENTS.md. Whenever the baseline file
-//! exists — even without `--check` — the suite additionally verifies
-//! that the semantic counters (`enumerate.phases_attempted` and
-//! `enumerate.dormant_prunes`) of every workload match the baseline
-//! exactly. That guard catches a dormant-phase prefilter silently
+//! Whenever the baseline file exists — even without `--check` — the
+//! suite additionally verifies that the semantic counters
+//! (`enumerate.phases_attempted` and `enumerate.dormant_prunes`) of
+//! every workload match the baseline exactly. That guard catches a dormant-phase prefilter silently
 //! changing what the search explores, including while re-pinning a
 //! baseline.
 
@@ -46,13 +41,14 @@ use std::time::Instant;
 
 use bench::perf::{compare, delta_table, PerfReport, WorkloadReport};
 use phase_order::campaign::{self, CampaignConfig, FunctionTask, NullObserver};
-use phase_order::enumerate::{enumerate, enumerate_semantic, enumerate_semantic_pruned, Config};
-use phase_order::oracle::{self, OracleConfig};
+use phase_order::enumerate::{enumerate, enumerate_semantic_pruned, enumerate_tier, Config};
+use phase_order::oracle;
+use phase_order::request::MergeTier;
 use phase_order::semantic::SemanticConfig;
 use phase_order::telemetry;
 use vpo_opt::batch::batch_compile;
 use vpo_opt::Target;
-use vpo_sim::{Machine, SimEngine};
+use vpo_sim::Machine;
 
 /// The pinned kernels with their inner repetition counts: small enough
 /// that the full suite stays in seconds, spread over three benchmarks
@@ -71,7 +67,6 @@ struct Options {
     baseline: Option<PathBuf>,
     metrics_dir: Option<PathBuf>,
     summary: Option<PathBuf>,
-    sim_engine: SimEngine,
 }
 
 fn parse_args() -> Result<Options, String> {
@@ -83,7 +78,6 @@ fn parse_args() -> Result<Options, String> {
         baseline: None,
         metrics_dir: None,
         summary: None,
-        sim_engine: SimEngine::Threaded,
     };
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -112,13 +106,6 @@ fn parse_args() -> Result<Options, String> {
             opts.metrics_dir = Some(PathBuf::from(value("--metrics-dir")?));
         } else if a.starts_with("--summary") {
             opts.summary = Some(PathBuf::from(value("--summary")?));
-        } else if a.starts_with("--sim-engine") {
-            let v = value("--sim-engine")?;
-            opts.sim_engine = match v.as_str() {
-                "interp" => SimEngine::Interp,
-                "threaded" => SimEngine::Threaded,
-                _ => return Err(format!("bad --sim-engine value `{v}` (interp|threaded)")),
-            };
         } else {
             return Err(format!("unknown argument `{a}`"));
         }
@@ -259,7 +246,14 @@ fn run_suite(opts: &Options) -> Result<PerfReport, String> {
             4,
             metrics_dir,
             || {
-                std::hint::black_box(enumerate_semantic(&program, f, &target, &config, &sem));
+                std::hint::black_box(enumerate_tier(
+                    MergeTier::Semantic,
+                    Some(&program),
+                    f,
+                    &target,
+                    &config,
+                    &sem,
+                ));
             },
         )?);
         // Pruned tier on the same kernel: prices the subsumption
@@ -318,29 +312,28 @@ fn run_suite(opts: &Options) -> Result<PerfReport, String> {
             .compile()
             .map_err(|e| format!("bitcount: {e}"))?;
         let f = program.function("bit_count").ok_or("bitcount: no function `bit_count`")?;
-        let enum_config = Config::default();
-        let oracle_config = OracleConfig { engine: opts.sim_engine, ..OracleConfig::default() };
+        let config = Config::default();
+        let sem = SemanticConfig::default();
         workloads.push(run_workload(
             "oracle/bitcount::bit_count",
             opts.trials,
             4,
             metrics_dir,
             || {
-                let (_, report) =
-                    oracle::verify_function(&program, f, &target, &enum_config, &oracle_config);
+                let e = enumerate(f, &target, &config);
+                let report = oracle::verify(&program, f, &e, &target, &sem, config.jobs);
                 assert!(report.is_clean(), "perfsuite oracle found miscompilations");
             },
         )?);
     }
 
     // Pure simulation: an oracle-battery-shaped workload with no
-    // enumeration in the loop — the direct measure of `--sim-engine`
-    // throughput for the before/after A/B table. Naive and
-    // batch-optimized instances of two loop kernels (one doing real work
-    // per iteration, one a bare counting loop) run over fixed batteries
-    // on one reused machine, mirroring `observe_battery`'s cycle
-    // exactly: under the threaded engine each instance is lowered once
-    // and reused for every input. The counting loop gets a large-trip
+    // enumeration in the loop — the direct measure of simulator
+    // throughput. Naive and batch-optimized instances of two loop
+    // kernels (one doing real work per iteration, one a bare counting
+    // loop) run over fixed batteries on one reused machine, mirroring
+    // `Machine::run_battery`'s cycle exactly: each instance is lowered
+    // once and reused for every input. The counting loop gets a large-trip
     // battery — the million-simulation-battery shape the threaded
     // engine exists for.
     {
@@ -380,18 +373,14 @@ fn run_suite(opts: &Options) -> Result<PerfReport, String> {
         let spin_battery: &[i32] = &[0, 1, 1000, 300_000, 1_000_000];
         workloads.push(run_workload("sim/battery/mix+spin", opts.trials, 3, metrics_dir, || {
             let mut m = Machine::with_mem_size(&program, 1 << 16);
-            m.set_engine(opts.sim_engine);
             let mut dynamic = 0u64;
             for f in &instances {
                 let battery = if f.name == "spin" { spin_battery } else { mix_battery };
-                let lowered = (m.engine() == SimEngine::Threaded).then(|| m.lower_instance(f));
+                let lowered = m.lower_instance(f);
                 for &n in battery {
                     m.reset();
                     m.set_fuel(50_000_000);
-                    let r = match &lowered {
-                        Some(li) => m.call_lowered(li, &[n]),
-                        None => m.call_instance(f, &[n]),
-                    };
+                    let r = m.call_lowered(&lowered, &[n]);
                     assert!(r.is_ok(), "sim battery trapped: {r:?}");
                     dynamic += m.dynamic_insts();
                 }
@@ -495,10 +484,10 @@ fn run_suite(opts: &Options) -> Result<PerfReport, String> {
     Ok(PerfReport { label: opts.label.clone(), calibration_ns, workloads })
 }
 
-/// The engine-independent *semantic* counters: what the search explored,
-/// not how fast. These must match the baseline for any engine and any
-/// re-pin — a mismatch means the dormant-phase prefilters (or the search
-/// itself) changed semantics, which no perf PR is allowed to do.
+/// The *semantic* counters: what the search explored, not how fast.
+/// These must match the baseline for any re-pin — a mismatch means the
+/// dormant-phase prefilters (or the search itself) changed semantics,
+/// which no perf PR is allowed to do.
 const SEMANTIC_COUNTERS: &[&str] = &["enumerate.phases_attempted", "enumerate.dormant_prunes"];
 
 /// Compares the semantic counters of every workload shared between the

@@ -10,8 +10,7 @@
 //! The numbers are honest wall-clock measurements but carry none of
 //! criterion's statistical machinery — good enough for the order-of-
 //! magnitude comparisons the paper's experiments need (prefix sharing vs
-//! naive replay, serial vs parallel enumeration, batch vs probabilistic
-//! compilation).
+//! naive replay, the register-allocator and skip-shortcut ablations).
 
 use std::time::{Duration, Instant};
 

@@ -26,12 +26,9 @@
 //! instead of a file; `--max-nodes N` bounds the enumeration,
 //! `--battery N` and `--seed S` shape the input battery.
 //!
-//! The simulating subcommands (`run`, `verify`) accept `--sim-engine
-//! interp|threaded|both`: `threaded` (the default) is the pre-lowered
-//! direct-threaded engine, `interp` the tree-walking reference, and
-//! `both` runs the work on each engine and errors unless the reports are
-//! bit-identical — the sim differential gate. (`explore` and `campaign`
-//! never simulate, so they take no engine flag.)
+//! The simulating subcommands (`run`, `verify`, `audit-quotient`) run
+//! the direct-threaded simulator; the tree-walking reference
+//! interpreter is a test-only witness (`tests/sim_engine_equivalence.rs`).
 //!
 //! `campaign` explores **every** function of a file, benchmark, or the
 //! whole suite over one shared worker pool, checkpointing each completed
@@ -60,12 +57,12 @@ use phase_order::audit;
 use phase_order::campaign::store::{Completeness, MemoEntry};
 use phase_order::campaign::{self, CampaignConfig, FunctionTask};
 use phase_order::enumerate::{enumerate_tier, Config};
-use phase_order::oracle::{self, OracleConfig};
+use phase_order::oracle;
 use phase_order::request::{ExploreRequest, MergeTier, Selector};
 use phase_order::stats::FunctionRow;
 use vpo_opt::batch::batch_compile;
 use vpo_opt::{attempt, PhaseId, Target};
-use vpo_sim::{Machine, SimEngine};
+use vpo_sim::Machine;
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -76,13 +73,12 @@ fn main() -> ExitCode {
             eprintln!();
             eprintln!("usage:");
             eprintln!("  vpoc compile  <file.mc> [--seq LETTERS | --batch]");
-            eprintln!("  vpoc run      <file.mc> <function> [int args...] [--sim-engine E]");
+            eprintln!("  vpoc run      <file.mc> <function> [int args...]");
             eprintln!("  vpoc explore  <file.mc> [function] [--jobs N] [--max-nodes N]");
             eprintln!("                [--merge-tier T] [--paranoid] [--metrics PATH]");
             eprintln!("  vpoc verify   <file.mc>|--bench NAME [function] [--jobs N]");
             eprintln!("                [--max-nodes N] [--battery N] [--seed S] [--metrics PATH]");
             eprintln!("                [--merge-tier T] [--paranoid]");
-            eprintln!("                [--sim-engine interp|threaded|both]");
             eprintln!("  vpoc campaign <file.mc>|--bench NAME|--all-benches [function]");
             eprintln!("                [--store PATH] [--resume] [--jobs N] [--max-nodes N]");
             eprintln!("                [--max-functions N] [--budget N] [--merge-tier T]");
@@ -109,9 +105,6 @@ fn main() -> ExitCode {
             eprintln!("  --paranoid     double-check every merge: byte-compare fingerprint");
             eprintln!("                 hits, escalate signature hits to an extended battery");
             eprintln!("  --metrics PATH write a telemetry snapshot of the run as JSON");
-            eprintln!("  --sim-engine E simulate with `threaded` (default), `interp` (the");
-            eprintln!("                 reference), or `both` (differential gate: error");
-            eprintln!("                 unless the engines agree bit-identically)");
             eprintln!("  --budget N     suspend each function's search after N merged parent");
             eprintln!("                 expansions (checkpointing its frontier for resume);");
             eprintln!("                 for `query`, the per-request exploration budget");
@@ -283,26 +276,6 @@ fn metrics_end(path: Option<&str>) -> Result<(), String> {
     Ok(())
 }
 
-/// The `--sim-engine` choices: one engine, or the differential gate.
-#[derive(Clone, Copy)]
-enum SimChoice {
-    One(SimEngine),
-    Both,
-}
-
-fn parse_sim_engine(rest: &mut Vec<String>) -> Result<SimChoice, String> {
-    Ok(match args::string(rest, "--sim-engine")?.as_deref() {
-        None | Some("threaded") => SimChoice::One(SimEngine::Threaded),
-        Some("interp") => SimChoice::One(SimEngine::Interp),
-        Some("both") => SimChoice::Both,
-        Some(other) => {
-            return Err(format!(
-                "--sim-engine: unknown engine `{other}` (expected interp, threaded or both)"
-            ))
-        }
-    })
-}
-
 fn parse_seq(letters: &str) -> Result<Vec<PhaseId>, String> {
     letters
         .chars()
@@ -358,11 +331,14 @@ fn compile_cmd(argv: &[String]) -> Result<(), String> {
 }
 
 fn run_cmd(argv: &[String]) -> Result<(), String> {
-    let mut rest = argv.to_vec();
-    let sim_engine = parse_sim_engine(&mut rest)?;
-    let path = rest.first().ok_or("run: missing file")?;
-    let func = rest.get(1).ok_or("run: missing function name")?;
-    let call_args: Vec<i32> = rest[2..]
+    // Negative integer arguments look like short flags; only `--` ones
+    // are rejected.
+    if let Some(flag) = argv.iter().find(|a| a.starts_with("--")) {
+        return Err(format!("run: unknown flag `{flag}`"));
+    }
+    let path = argv.first().ok_or("run: missing file")?;
+    let func = argv.get(1).ok_or("run: missing function name")?;
+    let call_args: Vec<i32> = argv[2..]
         .iter()
         .map(|a| a.parse().map_err(|_| format!("bad integer argument `{a}`")))
         .collect::<Result<_, _>>()?;
@@ -371,41 +347,19 @@ fn run_cmd(argv: &[String]) -> Result<(), String> {
     let mut optimized = program.function(func).ok_or(format!("no function `{func}`"))?.clone();
     batch_compile(&mut optimized, &target);
 
-    let engines: &[SimEngine] = match sim_engine {
-        SimChoice::One(SimEngine::Interp) => &[SimEngine::Interp],
-        SimChoice::One(SimEngine::Threaded) => &[SimEngine::Threaded],
-        SimChoice::Both => &[SimEngine::Interp, SimEngine::Threaded],
-    };
-    let mut prev: Option<(i32, u64, u64)> = None;
-    for &engine in engines {
-        let mut naive = Machine::new(&program);
-        naive.set_engine(engine);
-        let expected = naive.call(func, &call_args).map_err(|e| e.to_string())?;
-        let mut opt = Machine::new(&program);
-        opt.set_engine(engine);
-        let got = opt.call_instance(&optimized, &call_args).map_err(|e| e.to_string())?;
-        if expected != got {
-            return Err(format!("MISCOMPILATION: naive={expected}, optimized={got}"));
-        }
-        let this = (got, naive.dynamic_insts(), opt.dynamic_insts());
-        if let Some(p) = prev {
-            if p != this {
-                return Err(format!(
-                    "sim-engine differential FAILED: interp {p:?} != threaded {this:?}"
-                ));
-            }
-            println!("engines agree: interp == threaded");
-        }
-        prev = Some(this);
-        if engine == *engines.last().unwrap() {
-            println!("{func}({call_args:?}) = {got}");
-            println!(
-                "dynamic instructions: naive {} -> optimized {}",
-                naive.dynamic_insts(),
-                opt.dynamic_insts()
-            );
-        }
+    let mut naive = Machine::new(&program);
+    let expected = naive.call(func, &call_args).map_err(|e| e.to_string())?;
+    let mut opt = Machine::new(&program);
+    let got = opt.call_instance(&optimized, &call_args).map_err(|e| e.to_string())?;
+    if expected != got {
+        return Err(format!("MISCOMPILATION: naive={expected}, optimized={got}"));
     }
+    println!("{func}({call_args:?}) = {got}");
+    println!(
+        "dynamic instructions: naive {} -> optimized {}",
+        naive.dynamic_insts(),
+        opt.dynamic_insts()
+    );
     Ok(())
 }
 
@@ -453,25 +407,12 @@ fn explore_cmd(argv: &[String]) -> Result<(), String> {
 
 fn verify_cmd(argv: &[String]) -> Result<(), String> {
     let mut rest = argv.to_vec();
-    let sim_engine = parse_sim_engine(&mut rest)?;
     let metrics = metrics_begin(&mut rest)?;
     let request = args::explore_request(&mut rest, "verify")?;
     reject_shards(&request, "verify")?;
     let program = resolve_program(&request, "verify")?;
 
     let target = Target::default();
-    // The signature battery mirrors the verification battery (both come
-    // from the request's semantic options), so a semantic merge is
-    // re-validated on the evidence it was accepted on. The oracle's job
-    // convention differs from the enumeration's (`0` = one per CPU,
-    // `1` = serial vs `0` = serial), hence the translation.
-    let oracle_config = OracleConfig {
-        battery: request.semantic.battery,
-        seed: request.semantic.seed,
-        jobs: if request.config.jobs == 0 { 1 } else { request.config.jobs },
-        ..OracleConfig::default()
-    };
-
     let mut findings = 0usize;
     for f in &program.functions {
         if let Some(name) = &request.function {
@@ -487,42 +428,11 @@ fn verify_cmd(argv: &[String]) -> Result<(), String> {
             &request.config,
             &request.semantic,
         );
-        let report = match sim_engine {
-            SimChoice::One(engine) => oracle::verify(
-                &program,
-                f,
-                &e,
-                &target,
-                &OracleConfig { engine, ..oracle_config.clone() },
-            ),
-            SimChoice::Both => {
-                // Verify the same space on each engine and demand
-                // bit-identical reports — the sim differential gate.
-                let threaded = oracle::verify(
-                    &program,
-                    f,
-                    &e,
-                    &target,
-                    &OracleConfig { engine: SimEngine::Threaded, ..oracle_config.clone() },
-                );
-                let interp = oracle::verify(
-                    &program,
-                    f,
-                    &e,
-                    &target,
-                    &OracleConfig { engine: SimEngine::Interp, ..oracle_config.clone() },
-                );
-                if interp != threaded {
-                    return Err(format!(
-                        "sim-engine differential FAILED on `{}`: the interpreter and \
-                         threaded engines produced different reports",
-                        f.name
-                    ));
-                }
-                println!("{}: engines agree (interp == threaded)", f.name);
-                threaded
-            }
-        };
+        // The signature battery is the verification battery, so a
+        // semantic merge is re-validated on the evidence it was
+        // accepted on.
+        let report =
+            oracle::verify(&program, f, &e, &target, &request.semantic, request.config.jobs);
         let tag = if e.outcome.is_complete() { "" } else { " [space truncated]" };
         println!("{}{tag}", report.summary());
         for finding in &report.findings {
@@ -815,29 +725,12 @@ mod tests {
             "--max-nodes=500".into(),
         ])
         .unwrap();
-        run(&[
-            "run".into(),
-            path.clone(),
-            "triple".into(),
-            "14".into(),
-            "--sim-engine=interp".into(),
-        ])
-        .unwrap();
-        run(&[
-            "run".into(),
-            path.clone(),
-            "triple".into(),
-            "14".into(),
-            "--sim-engine=both".into(),
-        ])
-        .unwrap();
-        run(&["verify".into(), path.clone(), "--sim-engine".into(), "interp".into()]).unwrap();
-        run(&["verify".into(), path.clone(), "--sim-engine=both".into()]).unwrap();
+        run(&["run".into(), path.clone(), "triple".into(), "-14".into()]).unwrap();
         run(&["dot".into(), path.clone(), "triple".into()]).unwrap();
         run(&["dot".into(), path.clone(), "triple".into(), "-j".into(), "4".into()]).unwrap();
         run(&["phases".into()]).unwrap();
         assert!(run(&["bogus".into()]).is_err());
-        assert!(run(&["verify".into(), path.clone(), "--sim-engine=qemu".into()]).is_err());
+        assert!(run(&["verify".into(), path.clone(), "--battery=0".into()]).is_err());
         assert!(run(&["explore".into(), path.clone(), "--jobs".into()]).is_err());
         assert!(run(&["explore".into(), path.clone(), "--bogus".into()]).is_err());
         assert!(run(&["verify".into(), path.clone(), "--battery".into()]).is_err());

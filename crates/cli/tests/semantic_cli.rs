@@ -1,8 +1,9 @@
-//! `--merge-tier` through the real binary: `explore` reports both DAG
-//! sizes and the collapse factor, `verify` re-validates semantic merge
-//! edges (on both simulator engines, in paranoid mode), `dot` renders
-//! the semantic edges dashed, `campaign` persists the semantic
-//! counters, and a bogus tier name is rejected with a usable message.
+//! `--merge-tier` and the simulation battery through the real binary:
+//! `explore` reports both DAG sizes and the collapse factor, `verify`
+//! re-validates semantic merge edges in paranoid mode, `dot` renders the
+//! semantic edges dashed, `campaign` persists the semantic counters, a
+//! bogus tier name is rejected with a usable message, and so are an
+//! empty battery and the retired `--sim-engine` flag.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -60,8 +61,15 @@ fn explore_reports_both_dag_sizes_under_the_semantic_tier() {
     assert_eq!(row(&fp_out), row(&sem_out), "tiers disagree on the fingerprint row");
 }
 
+/// Runs `vpoc args`, demanding a nonzero exit, and returns its stderr.
+fn run_err(args: &[&str]) -> String {
+    let out = vpoc().args(args).output().unwrap();
+    assert!(!out.status.success(), "vpoc {args:?} unexpectedly succeeded");
+    String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
 #[test]
-fn verify_revalidates_semantic_merges_paranoid_on_both_engines() {
+fn verify_revalidates_semantic_merges_paranoid() {
     let out = run_ok(&[
         "verify",
         "--bench",
@@ -71,10 +79,8 @@ fn verify_revalidates_semantic_merges_paranoid_on_both_engines() {
         "semantic",
         "--paranoid",
         "--battery=2",
-        "--sim-engine=both",
     ]);
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("engines agree"), "missing differential line:\n{stdout}");
     assert!(stdout.contains("ok"), "verification not clean:\n{stdout}");
     assert!(stdout.contains("semantic)"), "no semantic paths re-validated:\n{stdout}");
 }
@@ -127,4 +133,31 @@ fn unknown_merge_tier_is_rejected() {
         stderr.contains("fingerprint") && stderr.contains("semantic"),
         "error message does not name the valid tiers:\n{stderr}"
     );
+}
+
+/// An empty battery simulates nothing, so every check would pass
+/// vacuously: `verify` and `audit-quotient` must refuse it at the
+/// default (fingerprint) tier too, not only under `--merge-tier semantic`.
+#[test]
+fn empty_battery_is_rejected() {
+    for cmd in ["verify", "audit-quotient"] {
+        let stderr = run_err(&[cmd, "--bench", "bitcount", "bit_count", "--battery", "0"]);
+        assert!(stderr.contains("battery"), "{cmd}: error does not name the battery:\n{stderr}");
+    }
+}
+
+/// The simulator engine is not a user option: the reference
+/// interpreter lives only in the test suite.
+#[test]
+fn sim_engine_flag_is_unknown() {
+    let file = bitcount_mc();
+    let path = file.to_str().unwrap();
+    for args in [
+        vec!["verify", "--bench", "bitcount", "bit_count", "--sim-engine=both"],
+        vec!["verify", "--bench", "bitcount", "bit_count", "--sim-engine", "interp"],
+        vec!["run", path, "bit_count", "7", "--sim-engine=interp"],
+    ] {
+        let stderr = run_err(&args);
+        assert!(stderr.contains("unknown flag `--sim-engine"), "{args:?}:\n{stderr}");
+    }
 }

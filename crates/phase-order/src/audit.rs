@@ -19,11 +19,9 @@ use vpo_opt::Target;
 use vpo_rtl::{Function, Program};
 use vpo_sim::Machine;
 
-use crate::enumerate::{
-    enumerate_semantic, enumerate_semantic_pruned, rematerialize, sequence_letters, Config,
-    Enumeration,
-};
-use crate::oracle::{self, OracleConfig};
+use crate::enumerate::{enumerate_tier, rematerialize, sequence_letters, Config, Enumeration};
+use crate::oracle;
+use crate::request::MergeTier;
 use crate::semantic::SemanticConfig;
 
 /// One tier's code-size optimum: the minimum-static-size instance over
@@ -134,18 +132,17 @@ fn best_instance(
     root: &Function,
     target: &Target,
     inputs: &[Vec<i32>],
-    oc: &OracleConfig,
+    config: &SemanticConfig,
 ) -> Option<BestInstance> {
     let min = e.space.iter().map(|(_, n)| n.inst_count).min()?;
-    let mut m = Machine::with_mem_size(program, oc.mem_size);
-    m.set_engine(oc.engine);
+    let mut m = Machine::with_mem_size(program, config.mem_size);
     // Every static-min instance is executed, so the dynamic tie-break
     // is independent of node numbering — which differs between the two
     // spaces even where the instances coincide.
     let mut best: Option<BestInstance> = None;
     for (id, n) in e.space.iter().filter(|(_, n)| n.inst_count == min) {
         let f = rematerialize(root, target, &e.space, id);
-        let dynamic = m.run_battery(&f, inputs, oc.fuel).iter().map(|(_, d)| d).sum();
+        let dynamic = m.run_battery(&f, inputs, config.fuel).iter().map(|(_, d)| d).sum();
         if best.as_ref().is_none_or(|b| dynamic < b.dynamic) {
             best = Some(BestInstance {
                 sequence: sequence_letters(&e.space.discovery_sequence(id)),
@@ -157,10 +154,11 @@ fn best_instance(
     best
 }
 
-/// Runs [`enumerate_semantic`] and [`enumerate_semantic_pruned`] on `f`
-/// and compares them. The dynamic counts of both optima are measured on
-/// the *same* battery — built once from the unoptimized baseline with
-/// the signature tier's parameters — so a nonzero
+/// Enumerates `f` under the annotation ([`MergeTier::Semantic`]) and
+/// pruned ([`MergeTier::SemanticPruned`]) tiers and compares them. The
+/// dynamic counts of both optima are measured on the *same* battery —
+/// built once from the unoptimized baseline with the signature tier's
+/// parameters — so a nonzero
 /// [`QuotientAudit::dynamic_drift`] can only come from the leaves
 /// differing, never from input skew. Ticks the `audit.functions` and
 /// `audit.unsound_prunes` telemetry counters.
@@ -171,17 +169,10 @@ pub fn audit_function(
     config: &Config,
     sem_config: &SemanticConfig,
 ) -> QuotientAudit {
-    let oc = OracleConfig {
-        battery: sem_config.battery,
-        seed: sem_config.seed,
-        fuel: sem_config.fuel,
-        mem_size: sem_config.mem_size,
-        ..OracleConfig::default()
-    };
-    let (inputs, _, _) = oracle::build_battery(program, f, &oc);
-
-    let ann = enumerate_semantic(program, f, target, config, sem_config);
-    let pruned = enumerate_semantic_pruned(program, f, target, config, sem_config);
+    let (inputs, _, _) = oracle::build_battery(program, f, sem_config);
+    let run = |tier| enumerate_tier(tier, Some(program), f, target, config, sem_config);
+    let ann = run(MergeTier::Semantic);
+    let pruned = run(MergeTier::SemanticPruned);
 
     let audit = QuotientAudit {
         name: f.name.clone(),
@@ -195,8 +186,8 @@ pub fn audit_function(
         mask_fallbacks: pruned.stats.sem_mask_fallbacks,
         ann_wall: ann.stats.elapsed,
         pruned_wall: pruned.stats.elapsed,
-        ann_best: best_instance(&ann, program, f, target, &inputs, &oc),
-        pruned_best: best_instance(&pruned, program, f, target, &inputs, &oc),
+        ann_best: best_instance(&ann, program, f, target, &inputs, sem_config),
+        pruned_best: best_instance(&pruned, program, f, target, &inputs, sem_config),
     };
     let t = crate::telemetry::global();
     t.audit_functions.inc();

@@ -662,41 +662,7 @@ pub fn enumerate(f: &Function, target: &Target, config: &Config) -> Enumeration 
     enumerate_tier(MergeTier::Fingerprint, None, f, target, config, &SemanticConfig::default())
 }
 
-/// [`enumerate`] under the *semantic* merge tier (`--merge-tier
-/// semantic`): fingerprint-fresh instances are additionally keyed by
-/// their behavioral signature ([`crate::semantic`]) and merged into the
-/// first instance observed with that signature, recording the edge in
-/// [`crate::space::Node::sem_children`]. The node set, `children`
-/// edges, masks, weights and fingerprint-tier counters are
-/// bit-identical to [`enumerate`]'s — merged nodes are still inserted
-/// and expanded (signature equality is not a congruence under phase
-/// application, so pruning would lose classes) — which makes the
-/// semantic space an exact quotient annotation: the number of
-/// behaviorally distinct instances is
-/// [`SearchSpace::sem_class_count`] `=` [`SearchSpace::len`] `-`
-/// [`SearchStats::sem_merges`]. `program` provides callees and
-/// the globals layout for signature execution; `f` must be one of its
-/// functions (unoptimized, exactly as for [`enumerate`]).
-///
-/// With [`Config::paranoid`], every signature hit is escalated to a full
-/// differential re-execution over an extended input battery before the
-/// merge is accepted ([`SearchStats::sem_escalations`]); rejected hits
-/// stay distinct nodes and count [`SearchStats::sem_collisions`].
-///
-/// Like the fingerprint tier, the result is bit-identical for any
-/// [`Config::jobs`] value: signatures are computed at merge time, which
-/// is serial and in frontier order for any job count.
-pub fn enumerate_semantic(
-    program: &Program,
-    f: &Function,
-    target: &Target,
-    config: &Config,
-    sem_config: &SemanticConfig,
-) -> Enumeration {
-    enumerate_tier(MergeTier::Semantic, Some(program), f, target, config, sem_config)
-}
-
-/// [`enumerate_semantic`] under the *pruned* merge tier (`--merge-tier
+/// [`enumerate_tier`] under the *pruned* merge tier (`--merge-tier
 /// semantic-pruned`): a behaviorally merged instance is inserted but
 /// **not expanded** ([`SearchStats::sem_prunes`]) when its realized
 /// active-phase set is subsumed by its already-expanded class
@@ -726,13 +692,32 @@ pub fn enumerate_semantic_pruned(
 }
 
 /// Enumerates the phase-order space of `f` under merge tier `tier` — the
-/// one entry point behind [`enumerate`], [`enumerate_semantic`] and
-/// [`enumerate_semantic_pruned`].
+/// one entry point behind [`enumerate`] and [`enumerate_semantic_pruned`].
 ///
 /// The search runs on the campaign driver ([`crate::campaign`]) as a
 /// single task with no store and no budget, over [`Config::jobs`]
 /// workers. `program` supplies callees and the globals layout for
 /// signature execution; the fingerprint tier ignores it.
+///
+/// Under [`MergeTier::Semantic`] (`--merge-tier semantic`),
+/// fingerprint-fresh instances are additionally keyed by their
+/// behavioral signature ([`crate::semantic`]) and merged into the first
+/// instance observed with that signature, recording the edge in
+/// [`crate::space::Node::sem_children`]. The node set, `children`
+/// edges, masks, weights and fingerprint-tier counters are bit-identical
+/// to [`enumerate`]'s — merged nodes are still inserted and expanded
+/// (signature equality is not a congruence under phase application, so
+/// pruning would lose classes) — which makes the semantic space an exact
+/// quotient annotation: the number of behaviorally distinct instances is
+/// [`SearchSpace::sem_class_count`] `=` [`SearchSpace::len`] `-`
+/// [`SearchStats::sem_merges`]. With [`Config::paranoid`], every
+/// signature hit is escalated to a full differential re-execution over
+/// an extended input battery before the merge is accepted
+/// ([`SearchStats::sem_escalations`]); rejected hits stay distinct nodes
+/// and count [`SearchStats::sem_collisions`]. Like the fingerprint tier,
+/// the result is bit-identical for any [`Config::jobs`] value:
+/// signatures are computed at merge time, which is serial and in
+/// frontier order for any job count.
 ///
 /// # Panics
 ///
@@ -1029,7 +1014,7 @@ mod tests {
         let t = Target::default();
         let config = Config::default();
         let sem_config = SemanticConfig::default();
-        let ann = enumerate_semantic(&program, f, &t, &config, &sem_config);
+        let ann = enumerate_tier(MergeTier::Semantic, Some(&program), f, &t, &config, &sem_config);
         let pruned = enumerate_semantic_pruned(&program, f, &t, &config, &sem_config);
         assert!(ann.outcome.is_complete() && pruned.outcome.is_complete());
         assert!(pruned.space.len() <= ann.space.len());

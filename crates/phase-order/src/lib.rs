@@ -84,8 +84,8 @@ pub mod telemetry;
 pub mod wire;
 
 pub use enumerate::{
-    enumerate, enumerate_semantic, enumerate_semantic_pruned, enumerate_tier, jobs_per_cpu, Config,
-    Enumeration, ReplayMode, SearchOutcome,
+    enumerate, enumerate_semantic_pruned, enumerate_tier, jobs_per_cpu, Config, Enumeration,
+    ReplayMode, SearchOutcome,
 };
 pub use semantic::{SemanticConfig, SemanticContext, Signature, StructuralKey};
 pub use space::{NodeId, SearchSpace};

@@ -35,9 +35,12 @@
 //!   recorded, so the dynamic-count-optimal ordering of Section 7 falls
 //!   out of a verification run for free.
 //!
-//! Verification parallelizes over instances ([`OracleConfig::jobs`],
-//! reusing the level-barrier pattern of the parallel enumeration); the
-//! verdict is bit-identical for any job count because observations are
+//! The battery is the semantic tier's: [`verify`] takes the same
+//! [`SemanticConfig`] the enumeration's signatures used, so a semantic
+//! merge is re-validated on exactly the evidence it was accepted on.
+//! Verification parallelizes over instances (`jobs` follows
+//! [`crate::Config::jobs`]: `0` and `1` are serial); the verdict is
+//! bit-identical for any job count because observations are
 //! deterministic and findings are collected in node order.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -47,45 +50,11 @@ use vpo_opt::{attempt, PhaseId, Target};
 use vpo_rtl::canon;
 use vpo_rtl::rng::Rng;
 use vpo_rtl::{Function, Program};
-use vpo_sim::{Machine, SimEngine, SimError};
+use vpo_sim::{Machine, SimError};
 
 use crate::enumerate::Enumeration;
+use crate::semantic::SemanticConfig;
 use crate::space::{NodeId, SearchSpace};
-
-/// Oracle options.
-#[derive(Clone, Debug)]
-pub struct OracleConfig {
-    /// Number of battery inputs to verify on (inputs whose baseline
-    /// execution traps are discarded and re-drawn).
-    pub battery: usize,
-    /// Seed for battery generation.
-    pub seed: u64,
-    /// Dynamic-instruction budget per simulation.
-    pub fuel: u64,
-    /// Memory-image size per simulation (the whole image is zeroed
-    /// between runs, so smaller is faster; must fit globals and stack).
-    pub mem_size: usize,
-    /// Worker threads: `0` = one per available CPU, `1` = serial.
-    pub jobs: usize,
-    /// Which simulator engine executes the battery. Both engines are
-    /// observationally identical, so the verdict does not depend on the
-    /// choice; [`SimEngine::Threaded`] (the default) is the fast path,
-    /// [`SimEngine::Interp`] the reference for differential runs.
-    pub engine: SimEngine,
-}
-
-impl Default for OracleConfig {
-    fn default() -> Self {
-        OracleConfig {
-            battery: 4,
-            seed: 0x04AC1E,
-            fuel: 2_000_000,
-            mem_size: 1 << 18,
-            jobs: 1,
-            engine: SimEngine::default(),
-        }
-    }
-}
 
 /// What one execution of one instance on one input looked like: the
 /// returned value and a CRC-32 digest of the globals segment, or the
@@ -299,28 +268,13 @@ fn observe_battery(
     (obs, dyns, dynamic)
 }
 
-/// Builds the input battery: deterministic edge-case tuples first, then
-/// seeded draws, keeping only inputs on which the *baseline* function
-/// executes cleanly (optimization must preserve traps too, but trapping
-/// runs stop at the trap and observe less — clean inputs give every
-/// check full coverage). Functions of no parameters get the single empty
-/// input.
-pub(crate) fn build_battery(
-    program: &Program,
-    f: &Function,
-    config: &OracleConfig,
-) -> (Vec<Vec<i32>>, Vec<Observation>, u64) {
-    let arity = f.params.len();
-    let mut m = Machine::with_mem_size(program, config.mem_size);
-    m.set_engine(config.engine);
+/// The candidate inputs [`build_battery`] draws from for a function of
+/// `arity` parameters: deterministic edge-case tuples first, then
+/// `8 * config.battery` seeded draws (mostly small, a quarter in
+/// ±2M). Functions of no parameters get the single empty input.
+pub fn candidate_battery(arity: usize, config: &SemanticConfig) -> Vec<Vec<i32>> {
     if arity == 0 {
-        let (obs, dynamic) = observe(&mut m, f, &[], config.fuel);
-        return match obs {
-            Ok(_) => (vec![Vec::new()], vec![obs], dynamic),
-            // A trapping zero-arity baseline still gets verified — the
-            // trap itself is the behaviour every instance must match.
-            Err(_) => (vec![Vec::new()], vec![obs], dynamic),
-        };
+        return vec![Vec::new()];
     }
     let mut rng = Rng::seed_from_u64(config.seed);
     let mut candidates: Vec<Vec<i32>> = vec![
@@ -341,15 +295,32 @@ pub(crate) fn build_battery(
                 .collect(),
         );
     }
+    candidates
+}
+
+/// Builds the input battery: the first `config.battery` candidates
+/// ([`candidate_battery`]) on which the *baseline* function executes
+/// cleanly (optimization must preserve traps too, but trapping runs stop
+/// at the trap and observe less — clean inputs give every check full
+/// coverage). A zero-arity function keeps its single empty input even
+/// when the baseline traps: the trap itself is the behaviour every
+/// instance must match.
+pub(crate) fn build_battery(
+    program: &Program,
+    f: &Function,
+    config: &SemanticConfig,
+) -> (Vec<Vec<i32>>, Vec<Observation>, u64) {
+    let arity = f.params.len();
+    let mut m = Machine::with_mem_size(program, config.mem_size);
     let mut inputs = Vec::new();
     let mut baseline = Vec::new();
     let mut dynamic = 0;
-    for args in candidates {
+    for args in candidate_battery(arity, config) {
         if inputs.len() >= config.battery {
             break;
         }
         let (obs, d) = observe(&mut m, f, &args, config.fuel);
-        if obs.is_ok() {
+        if obs.is_ok() || arity == 0 {
             inputs.push(args);
             baseline.push(obs);
             dynamic += d;
@@ -388,13 +359,16 @@ struct ItemResult {
 /// `program` provides callees (functions called by `f` resolve to their
 /// *unoptimized* versions, exactly as during enumeration) and the globals
 /// layout. `f` must be the same unoptimized function `enumeration` was
-/// produced from.
+/// produced from. `config` shapes the battery ([`build_battery`]);
+/// `jobs` sizes the worker pool like [`crate::Config::jobs`] (`0` and
+/// `1` verify on the calling thread).
 pub fn verify(
     program: &Program,
     f: &Function,
     enumeration: &Enumeration,
     target: &Target,
-    config: &OracleConfig,
+    config: &SemanticConfig,
+    jobs: usize,
 ) -> OracleReport {
     let space = &enumeration.space;
     let (inputs, baseline_obs, baseline_dynamic) = build_battery(program, f, config);
@@ -418,11 +392,6 @@ pub fn verify(
         }
     }
     let sem_paths = items.len() - space.len() - merged_paths;
-
-    let jobs = match config.jobs {
-        0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-        n => n,
-    };
 
     let run_item = |m: &mut Machine<'_>, item: &Item| -> ItemResult {
         match item {
@@ -480,7 +449,6 @@ pub fn verify(
             for _ in 0..jobs.min(items.len()) {
                 scope.spawn(|| {
                     let mut m = Machine::with_mem_size(program, config.mem_size);
-                    m.set_engine(config.engine);
                     loop {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
                         let Some(item) = items.get(i) else { break };
@@ -492,7 +460,6 @@ pub fn verify(
         slots.into_iter().map(|s| s.into_inner().unwrap().expect("worker filled slot")).collect()
     } else {
         let mut m = Machine::with_mem_size(program, config.mem_size);
-        m.set_engine(config.engine);
         items.iter().map(|item| run_item(&mut m, item)).collect()
     };
 
@@ -583,10 +550,6 @@ pub fn verify(
             }
         }
     }
-    // Item order interleaves node findings before edge findings only by
-    // position; sort by node for a stable, readable report.
-    // (Already in deterministic order — no re-sort needed for equality.)
-
     let tm = crate::telemetry::global();
     tm.oracle_instances.add(space.len() as u64);
     tm.oracle_merged_paths.add((merged_paths + sem_paths) as u64);
@@ -607,28 +570,6 @@ pub fn verify(
     }
 }
 
-/// Convenience: enumerate `f` (serially, under `enum_config`) and verify
-/// the resulting space in one call.
-pub fn verify_function(
-    program: &Program,
-    f: &Function,
-    target: &Target,
-    enum_config: &crate::Config,
-    config: &OracleConfig,
-) -> (Enumeration, OracleReport) {
-    // Translate the oracle's job convention (`0` = one per CPU, `1` =
-    // serial) into the enumeration's (`0` = serial, `N` = `N` workers).
-    let mut ec = enum_config.clone();
-    ec.jobs = match config.jobs {
-        0 => crate::jobs_per_cpu(),
-        1 => 0,
-        n => n,
-    };
-    let e = crate::enumerate(f, target, &ec);
-    let report = verify(program, f, &e, target, config);
-    (e, report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -638,17 +579,19 @@ mod tests {
         vpo_frontend::compile(src).unwrap()
     }
 
+    /// Enumerates `p`'s first function and verifies it on the default
+    /// battery, serially.
+    fn enumerate_and_verify(p: &Program) -> (Enumeration, OracleReport) {
+        let target = Target::default();
+        let e = crate::enumerate(&p.functions[0], &target, &Config::default());
+        let report = verify(p, &p.functions[0], &e, &target, &SemanticConfig::default(), 0);
+        (e, report)
+    }
+
     #[test]
     fn small_function_verifies_clean() {
         let p = compile("int f(int a, int b) { if (a > b) return a - b; return b - a; }");
-        let target = Target::default();
-        let (e, report) = verify_function(
-            &p,
-            &p.functions[0],
-            &target,
-            &Config::default(),
-            &OracleConfig::default(),
-        );
+        let (e, report) = enumerate_and_verify(&p);
         assert!(e.outcome.is_complete());
         assert!(report.is_clean(), "findings: {:?}", report.findings);
         assert_eq!(report.instances, e.space.len());
@@ -669,14 +612,7 @@ mod tests {
             }
             "#,
         );
-        let target = Target::default();
-        let (e, report) = verify_function(
-            &p,
-            &p.functions[0],
-            &target,
-            &Config::default(),
-            &OracleConfig::default(),
-        );
+        let (e, report) = enumerate_and_verify(&p);
         assert!(e.outcome.is_complete());
         assert!(report.is_clean(), "findings: {:?}", report.findings);
         assert!(report.merged_paths > 0, "expected fingerprint merges in a loop space");
@@ -687,6 +623,16 @@ mod tests {
     }
 
     #[test]
+    fn zero_arity_functions_keep_their_trapping_baseline() {
+        let p = compile("int f() { int z; z = 0; return 5 / z; }");
+        let (inputs, baseline, _) = build_battery(&p, &p.functions[0], &SemanticConfig::default());
+        assert_eq!(inputs, vec![Vec::<i32>::new()]);
+        assert!(baseline[0].is_err(), "division by zero must trap: {baseline:?}");
+        let (_, report) = enumerate_and_verify(&p);
+        assert!(report.is_clean(), "findings: {:?}", report.findings);
+    }
+
+    #[test]
     fn oracle_catches_a_planted_miscompile() {
         // Corrupt one materialized instance's behaviour by verifying a
         // space enumerated from a *different* function: the oracle must
@@ -694,14 +640,15 @@ mod tests {
         let p1 = compile("int f(int a) { return a * 2; }");
         let p2 = compile("int f(int a) { return a * 3; }");
         let target = Target::default();
+        let config = SemanticConfig::default();
         let e_wrong = crate::enumerate(&p2.functions[0], &target, &Config::default());
         // Battery comes from p1's baseline; instances come from p2's root.
-        let report = verify(&p1, &p2.functions[0], &e_wrong, &target, &OracleConfig::default());
+        let report = verify(&p1, &p2.functions[0], &e_wrong, &target, &config, 0);
         assert!(report.is_clean(), "same-root space must be clean");
         // Now cross the streams: p1's function with p2's space — the
         // materialized root is p1's, whose fingerprint and behaviour
         // disagree with the recorded space.
-        let report = verify(&p1, &p1.functions[0], &e_wrong, &target, &OracleConfig::default());
+        let report = verify(&p1, &p1.functions[0], &e_wrong, &target, &config, 0);
         assert!(
             !report.is_clean(),
             "oracle failed to flag a space that does not belong to the function"
@@ -709,52 +656,14 @@ mod tests {
     }
 
     #[test]
-    fn both_engines_produce_identical_reports() {
-        let p = compile(
-            "int f(int a, int n) { int s = 0; int i; for (i = 0; i < n; i++) s += a * i; return s; }",
-        );
-        let target = Target::default();
-        let e = crate::enumerate(&p.functions[0], &target, &Config::default());
-        let interp = verify(
-            &p,
-            &p.functions[0],
-            &e,
-            &target,
-            &OracleConfig { engine: SimEngine::Interp, ..OracleConfig::default() },
-        );
-        let threaded = verify(
-            &p,
-            &p.functions[0],
-            &e,
-            &target,
-            &OracleConfig { engine: SimEngine::Threaded, ..OracleConfig::default() },
-        );
-        assert_eq!(interp, threaded);
-        assert!(interp.is_clean(), "findings: {:?}", interp.findings);
-    }
-
-    #[test]
     fn parallel_and_serial_reports_agree() {
         let p = compile(
             "int f(int a, int n) { int s = 0; int i; for (i = 0; i < n; i++) s += a * i; return s; }",
         );
+        let (e, serial) = enumerate_and_verify(&p);
         let target = Target::default();
-        let e = crate::enumerate(&p.functions[0], &target, &Config::default());
-        let serial = verify(
-            &p,
-            &p.functions[0],
-            &e,
-            &target,
-            &OracleConfig { jobs: 1, ..OracleConfig::default() },
-        );
-        for jobs in [2usize, 4] {
-            let par = verify(
-                &p,
-                &p.functions[0],
-                &e,
-                &target,
-                &OracleConfig { jobs, ..OracleConfig::default() },
-            );
+        for jobs in [1usize, 2, 4] {
+            let par = verify(&p, &p.functions[0], &e, &target, &SemanticConfig::default(), jobs);
             assert_eq!(serial, par, "jobs={jobs}");
         }
         assert!(serial.is_clean());

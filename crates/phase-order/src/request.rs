@@ -217,8 +217,8 @@ impl ExploreRequest {
         if self.config.max_level_width == 0 {
             return Err("max-level-width must be at least 1".into());
         }
-        if self.tier.is_semantic() && self.semantic.battery == 0 {
-            return Err("semantic tier needs a battery of at least 1 input".into());
+        if self.semantic.battery == 0 {
+            return Err("battery must be at least 1 input".into());
         }
         if let Selector::Bench(name) = &self.selector {
             if name.is_empty() {
@@ -399,9 +399,13 @@ mod tests {
         assert!(ExploreRequest::file("a.mc").budget(0).validate().is_err());
         assert!(ExploreRequest::file("a.mc").max_nodes(0).validate().is_err());
         assert!(ExploreRequest::bench("").validate().is_err());
-        let mut r = ExploreRequest::file("a.mc").tier(MergeTier::Semantic);
-        r.semantic.battery = 0;
-        assert!(r.validate().is_err());
+        // A zero battery is rejected at every tier: the oracle and the
+        // audit simulate on it too, and an empty one passes vacuously.
+        for tier in [MergeTier::Fingerprint, MergeTier::Semantic, MergeTier::SemanticPruned] {
+            let mut r = ExploreRequest::file("a.mc").tier(tier);
+            r.semantic.battery = 0;
+            assert!(r.validate().is_err(), "{tier:?}");
+        }
         let mut r = ExploreRequest::file("a.mc");
         r.config.max_level_width = 0;
         assert!(r.validate().is_err());

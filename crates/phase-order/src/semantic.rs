@@ -87,49 +87,38 @@ use vpo_opt::facts::Facts;
 use vpo_opt::{attempt, PhaseId, Target};
 use vpo_rtl::rng::Rng;
 use vpo_rtl::{Expr, FuncFlags, Function, Program, Reg};
-use vpo_sim::{Machine, SimEngine, SimError};
+use vpo_sim::{BatteryOutcome, Machine};
 
-use crate::oracle::{self, OracleConfig};
+use crate::oracle::{self, Observation};
 use crate::space::NodeId;
 
-/// Options for the semantic merge tier.
+/// The simulation battery shared by the semantic merge tier and the
+/// differential oracle ([`crate::oracle::verify`]).
 ///
-/// The battery parameters deliberately mirror [`OracleConfig`]'s
-/// defaults so that the signature battery and the oracle's verification
-/// battery are the *same inputs* — a semantic merge accepted during
-/// enumeration is then re-validated by `vpoc verify` on exactly the
-/// evidence it was accepted on (plus the extended battery in paranoid
-/// mode).
+/// One config shapes both so that the signature battery and the
+/// oracle's verification battery are the *same inputs* — a semantic
+/// merge accepted during enumeration is then re-validated by `vpoc
+/// verify` on exactly the evidence it was accepted on (plus the
+/// extended battery in paranoid mode).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct SemanticConfig {
-    /// Number of base-battery inputs (see [`OracleConfig::battery`]).
+    /// Number of base-battery inputs (inputs whose baseline execution
+    /// traps are discarded and re-drawn).
     pub battery: usize,
-    /// Seed for battery generation (see [`OracleConfig::seed`]).
+    /// Seed for battery generation.
     pub seed: u64,
-    /// Dynamic-instruction budget per signature simulation.
+    /// Dynamic-instruction budget per simulation.
     pub fuel: u64,
-    /// Memory-image size per signature simulation.
+    /// Memory-image size per simulation (the whole image is zeroed
+    /// between runs, so smaller is faster; must fit globals and stack).
     pub mem_size: usize,
 }
 
 impl Default for SemanticConfig {
     fn default() -> Self {
-        let o = OracleConfig::default();
-        SemanticConfig { battery: o.battery, seed: o.seed, fuel: o.fuel, mem_size: o.mem_size }
+        SemanticConfig { battery: 4, seed: 0x04AC1E, fuel: 2_000_000, mem_size: 1 << 18 }
     }
 }
-
-/// One battery entry's outcome: the observation (return value + globals
-/// CRC, or the trap) and the run's dynamic instruction count.
-pub type BatteryEntry = (Result<(i32, u32), SimError>, u64);
-
-/// One extended-battery entry's outcome: observation only. Escalation
-/// re-litigates the *behavioral* half of a signature hit; the cost
-/// profile is definitional on the base battery (it is what the
-/// signature probes), so two variants with equal base-battery cost and
-/// equal extended-battery behavior stay merged in either mode — which
-/// keeps the quotient paranoid-invariant on sound spaces.
-pub type Observation = Result<(i32, u32), SimError>;
 
 /// The cheap structural component of a signature. Two instances whose
 /// structural keys differ are never battery-compared at all, which both
@@ -192,7 +181,7 @@ pub struct Signature {
     /// Structural component.
     pub structure: StructuralKey,
     /// Per-battery-entry observations and dynamic counts.
-    pub battery: Vec<BatteryEntry>,
+    pub battery: Vec<BatteryOutcome>,
 }
 
 /// Outcome of presenting a fingerprint-fresh instance to the semantic
@@ -218,7 +207,13 @@ struct ClassRep {
     /// The representative's function — retained only in paranoid mode,
     /// where escalation re-executes it on the extended battery.
     func: Option<Arc<Function>>,
-    /// Lazily computed extended-battery observations (paranoid mode).
+    /// Lazily computed extended-battery observations (paranoid mode) —
+    /// observation only: escalation re-litigates the *behavioral* half
+    /// of a signature hit; the cost profile is definitional on the base
+    /// battery (it is what the signature probes), so two variants with
+    /// equal base-battery cost and equal extended-battery behavior stay
+    /// merged in either mode, which keeps the quotient paranoid-invariant
+    /// on sound spaces.
     ext: Option<Vec<Observation>>,
 }
 
@@ -252,24 +247,14 @@ impl<'p> SemanticContext<'p> {
         config: &SemanticConfig,
         paranoid: bool,
     ) -> SemanticContext<'p> {
-        let oc = OracleConfig {
-            battery: config.battery,
-            seed: config.seed,
-            fuel: config.fuel,
-            mem_size: config.mem_size,
-            ..OracleConfig::default()
-        };
-        let (base, _baseline, _dyn) = oracle::build_battery(program, f, &oc);
-        let ext = extended_battery(f.params.len(), config);
-        let mut machine = Machine::with_mem_size(program, config.mem_size);
-        machine.set_engine(SimEngine::Threaded);
+        let (base, _baseline, _dyn) = oracle::build_battery(program, f, config);
         SemanticContext {
-            machine,
+            machine: Machine::with_mem_size(program, config.mem_size),
             fuel: config.fuel,
             paranoid,
             prune: false,
             base,
-            ext,
+            ext: extended_battery(f.params.len(), config),
             classes: HashMap::new(),
             node_rep: HashMap::new(),
         }
@@ -432,8 +417,8 @@ impl<'p> SemanticContext<'p> {
 
     /// Differential comparison of two function instances' observations
     /// over the extended battery — the escalation predicate, exposed
-    /// for the adversarial test batteries. Compares behavior only (see
-    /// [`Observation`]): dynamic counts at extreme inputs can diverge
+    /// for the adversarial test batteries. Compares behavior only:
+    /// dynamic counts at extreme inputs can diverge
     /// between genuinely equivalent variants (input-dependent trip
     /// counts), and the cost half of the merge claim is already settled
     /// by the base-battery signature.

@@ -24,8 +24,10 @@
 //! reference semantics) and a pre-lowered direct-threaded engine
 //! ([`SimEngine::Threaded`], the default) that is bit-identical to the
 //! interpreter but much faster — see the [`threaded`](self) module docs
-//! and `DESIGN.md`. `tests/sim_engine_equivalence.rs` at the workspace
-//! root is the differential gate holding the two engines together.
+//! and `DESIGN.md`. Every shipped caller runs the threaded default; only
+//! `tests/sim_engine_equivalence.rs` at the workspace root selects the
+//! interpreter, as the differential gate holding the two engines
+//! together.
 //!
 //! # Example
 //!
@@ -223,13 +225,10 @@ impl<'p> Machine<'p> {
     }
 
     /// Selects the execution engine (default [`SimEngine::Threaded`]).
+    /// Production callers keep the default; the interpreter is the
+    /// reference the engine-equivalence tests hold the threaded engine to.
     pub fn set_engine(&mut self, engine: SimEngine) {
         self.engine = engine;
-    }
-
-    /// The currently selected execution engine.
-    pub fn engine(&self) -> SimEngine {
-        self.engine
     }
 
     /// Replaces the instruction budget (default 200M).

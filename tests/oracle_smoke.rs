@@ -8,14 +8,15 @@ mod common;
 
 use common::quick_workloads;
 use epo::explore::enumerate::Config;
-use epo::explore::oracle::{self, OracleConfig};
+use epo::explore::oracle;
+use epo::explore::semantic::SemanticConfig;
 use epo::opt::Target;
 use exhaustive_phase_order as epo;
 
-fn smoke_configs() -> (Config, OracleConfig) {
+fn smoke_configs() -> (Config, SemanticConfig) {
     let enum_config = Config { max_nodes: 5_000, ..Config::default() };
-    let oracle_config = OracleConfig { battery: 3, ..OracleConfig::default() };
-    (enum_config, oracle_config)
+    let battery = SemanticConfig { battery: 3, ..SemanticConfig::default() };
+    (enum_config, battery)
 }
 
 /// The acceptance gate: at least four seed kernels, every distinct
@@ -30,14 +31,14 @@ fn oracle_verifies_seed_kernels() {
         ("jpeg", "range_limit"),
         ("sha", "rotl"),
     ];
-    let (enum_config, oracle_config) = smoke_configs();
+    let (enum_config, battery) = smoke_configs();
     let target = Target::default();
     for (bench_name, func) in kernels {
         let bench = epo::benchmarks::all().into_iter().find(|b| b.name == bench_name).unwrap();
         let program = bench.compile().unwrap();
         let f = program.function(func).unwrap();
-        let (e, report) =
-            oracle::verify_function(&program, f, &target, &enum_config, &oracle_config);
+        let e = epo::explore::enumerate(f, &target, &enum_config);
+        let report = oracle::verify(&program, f, &e, &target, &battery, 0);
         assert!(e.outcome.is_complete(), "{bench_name}::{func}: budget too small for smoke");
         assert!(report.is_clean(), "{bench_name}::{func}: oracle findings: {:#?}", report.findings);
         // Every distinct instance of the space was executed.
@@ -67,25 +68,13 @@ fn oracle_parallel_matches_serial() {
     let program = bench.compile().unwrap();
     let f = program.function(func).unwrap();
     let target = Target::default();
-    let (enum_config, oracle_config) = smoke_configs();
+    let (enum_config, battery) = smoke_configs();
     let e = epo::explore::enumerate(f, &target, &enum_config);
 
-    let serial = oracle::verify(
-        &program,
-        f,
-        &e,
-        &target,
-        &OracleConfig { jobs: 1, ..oracle_config.clone() },
-    );
+    let serial = oracle::verify(&program, f, &e, &target, &battery, 0);
     assert!(serial.is_clean(), "findings: {:#?}", serial.findings);
-    for jobs in [2usize, 3, 0] {
-        let par = oracle::verify(
-            &program,
-            f,
-            &e,
-            &target,
-            &OracleConfig { jobs, ..oracle_config.clone() },
-        );
+    for jobs in [1usize, 2, 3, epo::explore::jobs_per_cpu()] {
+        let par = oracle::verify(&program, f, &e, &target, &battery, jobs);
         assert_eq!(serial, par, "oracle verdict diverged at jobs={jobs}");
     }
 }

@@ -12,14 +12,15 @@
 
 use std::collections::{HashMap, HashSet};
 
-use epo::explore::enumerate::{enumerate, enumerate_semantic, Config};
-use epo::explore::oracle::{self, OracleConfig};
+use epo::explore::enumerate::{enumerate, enumerate_tier, Config};
+use epo::explore::oracle;
+use epo::explore::request::MergeTier;
 use epo::explore::rng::Rng;
 use epo::explore::semantic::{SemanticConfig, SemanticContext, Signature};
 use epo::explore::space::NodeId;
 use epo::frontend::fuzz::{FuzzProgram, ENTRY};
 use epo::opt::Target;
-use epo::sim::{Machine, SimEngine};
+use epo::sim::Machine;
 use exhaustive_phase_order as epo;
 
 /// The nine pinned kernels spanning all six MiBench benchmarks (the same
@@ -42,10 +43,6 @@ fn enum_config() -> Config {
 
 fn sem_config() -> SemanticConfig {
     SemanticConfig { battery: 3, ..SemanticConfig::default() }
-}
-
-fn oracle_config() -> OracleConfig {
-    OracleConfig { battery: 3, ..OracleConfig::default() }
 }
 
 /// Signatures of every node of a space, recomputed independently
@@ -73,7 +70,14 @@ fn semantic_space_is_a_quotient_of_the_fingerprint_space() {
         let program = bench.compile().unwrap();
         let f = program.function(func).unwrap();
         let e_fp = enumerate(f, &target, &enum_config());
-        let e_sem = enumerate_semantic(&program, f, &target, &enum_config(), &sem_config());
+        let e_sem = enumerate_tier(
+            MergeTier::Semantic,
+            Some(&program),
+            f,
+            &target,
+            &enum_config(),
+            &sem_config(),
+        );
         assert!(e_fp.outcome.is_complete(), "{bench_name}::{func}: fingerprint search truncated");
         assert!(e_sem.outcome.is_complete(), "{bench_name}::{func}: semantic search truncated");
 
@@ -157,10 +161,16 @@ fn optimal_leaf_dynamics_are_tier_invariant() {
         let program = bench.compile().unwrap();
         let f = program.function(func).unwrap();
         let e_fp = enumerate(f, &target, &enum_config());
-        let e_sem = enumerate_semantic(&program, f, &target, &enum_config(), &sem_config());
-        let oc = oracle_config();
-        let r_fp = oracle::verify(&program, f, &e_fp, &target, &oc);
-        let r_sem = oracle::verify(&program, f, &e_sem, &target, &oc);
+        let e_sem = enumerate_tier(
+            MergeTier::Semantic,
+            Some(&program),
+            f,
+            &target,
+            &enum_config(),
+            &sem_config(),
+        );
+        let r_fp = oracle::verify(&program, f, &e_fp, &target, &sem_config(), 0);
+        let r_sem = oracle::verify(&program, f, &e_sem, &target, &sem_config(), 0);
         assert!(
             r_fp.is_clean(),
             "{bench_name}::{func}: fingerprint findings: {:#?}",
@@ -190,10 +200,24 @@ fn semantic_enumeration_is_job_count_invariant() {
         let bench = epo::benchmarks::find(bench_name).unwrap();
         let program = bench.compile().unwrap();
         let f = program.function(func).unwrap();
-        let serial = enumerate_semantic(&program, f, &target, &enum_config(), &sem_config());
+        let serial = enumerate_tier(
+            MergeTier::Semantic,
+            Some(&program),
+            f,
+            &target,
+            &enum_config(),
+            &sem_config(),
+        );
         for jobs in [2usize, 8] {
             let config = Config { jobs, ..enum_config() };
-            let par = enumerate_semantic(&program, f, &target, &config, &sem_config());
+            let par = enumerate_tier(
+                MergeTier::Semantic,
+                Some(&program),
+                f,
+                &target,
+                &config,
+                &sem_config(),
+            );
             assert_eq!(par.space.len(), serial.space.len(), "{bench_name}::{func} jobs={jobs}");
             assert_eq!(
                 par.space.sem_class_count(),
@@ -234,7 +258,7 @@ fn fuzz_corpus_semantic_merges_agree_with_reference_interpreter() {
             panic!("seed {seed}: generated source failed to compile: {e}\n{}", fp.source)
         });
         let f = program.function(ENTRY).unwrap();
-        let e = enumerate_semantic(&program, f, &target, &config, &sc);
+        let e = enumerate_tier(MergeTier::Semantic, Some(&program), f, &target, &config, &sc);
         assert_eq!(
             e.stats.sem_collisions, 0,
             "seed {seed}: paranoid escalation refuted a merge\n{}",
@@ -250,14 +274,12 @@ fn fuzz_corpus_semantic_merges_agree_with_reference_interpreter() {
         }
         // The oracle re-validates each semantic merge edge on the
         // battery the merge was accepted on.
-        let oc = OracleConfig { battery: sc.battery, ..oracle_config() };
-        let report = oracle::verify(&program, f, &e, &target, &oc);
+        let report = oracle::verify(&program, f, &e, &target, &sc, 0);
         assert!(report.is_clean(), "seed {seed}: findings {:#?}\n{}", report.findings, fp.source);
         // Cross-validation on inputs no battery saw: the reference
         // interpreter is the independent arbiter.
         let instances = oracle::materialize_all(&e.space, f, &target);
         let mut m = Machine::with_mem_size(&program, sc.mem_size);
-        m.set_engine(SimEngine::Threaded);
         for (id, _) in e.space.iter() {
             let rep = e.space.sem_rep(id);
             if rep == id {
@@ -304,9 +326,17 @@ fn paranoid_escalation_refutes_nothing_on_real_spaces() {
         let bench = epo::benchmarks::find(bench_name).unwrap();
         let program = bench.compile().unwrap();
         let f = program.function(func).unwrap();
-        let lax = enumerate_semantic(&program, f, &target, &enum_config(), &sem_config());
+        let lax = enumerate_tier(
+            MergeTier::Semantic,
+            Some(&program),
+            f,
+            &target,
+            &enum_config(),
+            &sem_config(),
+        );
         let config = Config { paranoid: true, ..enum_config() };
-        let e = enumerate_semantic(&program, f, &target, &config, &sem_config());
+        let e =
+            enumerate_tier(MergeTier::Semantic, Some(&program), f, &target, &config, &sem_config());
         assert_eq!(e.stats.sem_collisions, 0, "{bench_name}::{func}: escalation refuted a merge");
         assert_eq!(e.stats.collisions, 0, "{bench_name}::{func}: fingerprint collision");
         // Every semantic merge was escalated exactly once, and the

@@ -2,16 +2,22 @@
 //! tree-walking reference interpreter: same return values, same globals
 //! digests, same dynamic instruction counts, same block-entry counts,
 //! and the same error classification, on every input. These tests are
-//! the contract that lets `SimEngine::Threaded` be the default while
-//! `SimEngine::Interp` remains a living witness — the simulator twin of
-//! `engine_equivalence.rs`.
+//! the contract that lets `SimEngine::Threaded` be the only engine the
+//! oracle, the semantic tier and the CLI run, while `SimEngine::Interp`
+//! remains a test-only witness (selected here through
+//! `Machine::set_engine`) — the simulator twin of `engine_equivalence.rs`.
 
 mod common;
 
+use std::collections::HashSet;
+
 use common::{apply_sequence, gen_seq};
-use epo::explore::enumerate::{enumerate, Config};
-use epo::explore::oracle::{self, OracleConfig};
+use epo::explore::enumerate::{enumerate_tier, Config};
+use epo::explore::oracle;
+use epo::explore::request::MergeTier;
 use epo::explore::rng::Rng;
+use epo::explore::semantic::{SemanticConfig, SemanticContext};
+use epo::explore::space::SearchSpace;
 use epo::frontend::fuzz::{FuzzProgram, ENTRY};
 use epo::opt::Target;
 use epo::sim::{Machine, SimEngine, SimError};
@@ -57,8 +63,9 @@ fn assert_trace_identical(
     threaded
 }
 
-/// The nine pinned kernels spanning all six MiBench benchmarks: each
-/// one's full oracle battery must verify identically on both engines.
+/// The nine pinned kernels spanning all six MiBench benchmarks: every
+/// simulation the oracle and the semantic tier run on them must come out
+/// identically on both engines.
 const KERNELS: &[(&str, &str)] = &[
     ("bitcount", "bit_count"),
     ("bitcount", "bit_shifter"),
@@ -71,41 +78,120 @@ const KERNELS: &[(&str, &str)] = &[
     ("stringsearch", "lower"),
 ];
 
-/// Full oracle batteries over the nine kernels: enumerate each space
-/// once, verify it on each engine, and demand bit-identical reports —
-/// observations, findings, leaf dynamics, best-leaf choice, everything
-/// `OracleReport` carries.
+/// Every instance `oracle::verify` simulates for a space: each node's
+/// rematerialization, then each fingerprint-merge (non-discovery) edge
+/// and each semantic-merge edge rematerialized from its parent.
+fn oracle_instances(
+    space: &SearchSpace,
+    root: &epo::rtl::Function,
+    target: &Target,
+) -> Vec<epo::rtl::Function> {
+    let nodes = oracle::materialize_all(space, root, target);
+    let mut out = nodes.clone();
+    let mut edge = |parent: epo::explore::NodeId, phase| {
+        let mut g = nodes[parent.0 as usize].clone();
+        epo::opt::attempt(&mut g, phase, target);
+        out.push(g);
+    };
+    for (id, node) in space.iter() {
+        for &(phase, child) in &node.children {
+            if space.node(child).discovered_from != Some((id, phase)) {
+                edge(id, phase);
+            }
+        }
+    }
+    for (id, node) in space.iter() {
+        for &(phase, _) in &node.sem_children {
+            edge(id, phase);
+        }
+    }
+    out
+}
+
+/// Runs `battery` on `f` under both engines and demands identical
+/// `run_battery` output: observations, globals digests and dynamic counts.
+fn assert_battery_identical(
+    name: &str,
+    machines: &mut (Machine<'_>, Machine<'_>),
+    f: &epo::rtl::Function,
+    battery: &[Vec<i32>],
+    fuel: u64,
+) {
+    assert_eq!(
+        machines.0.run_battery(f, battery, fuel),
+        machines.1.run_battery(f, battery, fuel),
+        "{name}: engines diverged on battery {battery:?}"
+    );
+}
+
+/// Instruction budget for the extended battery in the witness below. Its
+/// overflow-edge inputs drive `fft::reverse_bits` into loops of up to
+/// 2³¹ trips, which the interpreter steps one instruction at a time
+/// until the default 2M budget runs out: about a second per instance in
+/// a release build and ten in a debug one. Both engines cut a loop at
+/// the fuel limit by exact stepping, so a smaller budget exercises the
+/// same paths; the witness checks on each root that it exhausts exactly
+/// the inputs the default budget exhausts.
+const EXT_FUEL: u64 = 2_000;
+
+/// The oracle's and the semantic tier's simulations over the nine
+/// kernels, with the default battery, on the interpreter and the threaded
+/// engine: the root on every candidate input the oracle battery is drawn
+/// from (traps included), then every distinct node, fingerprint-edge and
+/// semantic-edge rematerialization of the fingerprint-tier and
+/// semantic-tier spaces on the oracle battery and on the paranoid
+/// extended battery. `run_battery` output must be identical on both
+/// engines.
+///
+/// The semantic space is enumerated without `--paranoid`: escalation
+/// refutes no merge on these kernels
+/// (`semantic_merge_soundness::paranoid_escalation_refutes_nothing_on_real_spaces`),
+/// so the paranoid space is this one, and escalation's extended-battery
+/// runs are a subset of the ones below — while paranoid enumeration of
+/// `fft::reverse_bits` alone takes half a minute in a release build.
 #[test]
 fn oracle_batteries_are_engine_invariant_on_the_kernel_suite() {
     let target = Target::default();
-    let enum_config = Config { max_nodes: 5_000, ..Config::default() };
-    let oracle_config = OracleConfig { battery: 3, ..OracleConfig::default() };
+    let sc = SemanticConfig::default();
+    let config = Config { max_nodes: 5_000, ..Config::default() };
     for (bench_name, func) in KERNELS {
-        let bench = epo::benchmarks::find(bench_name).unwrap();
-        let program = bench.compile().unwrap();
+        let program = epo::benchmarks::find(bench_name).unwrap().compile().unwrap();
         let f = program.function(func).unwrap();
-        let e = enumerate(f, &target, &enum_config);
-        let interp = oracle::verify(
-            &program,
-            f,
-            &e,
-            &target,
-            &OracleConfig { engine: SimEngine::Interp, ..oracle_config.clone() },
+        let name = format!("{bench_name}::{func}");
+        let mut machines = (
+            Machine::with_mem_size(&program, sc.mem_size),
+            Machine::with_mem_size(&program, sc.mem_size),
         );
-        let threaded = oracle::verify(
-            &program,
-            f,
-            &e,
-            &target,
-            &OracleConfig { engine: SimEngine::Threaded, ..oracle_config.clone() },
-        );
-        assert_eq!(interp, threaded, "{bench_name}::{func}: oracle reports diverged");
-        assert!(
-            threaded.is_clean(),
-            "{bench_name}::{func}: oracle findings: {:#?}",
-            threaded.findings
-        );
-        assert_eq!(threaded.instances, e.space.len(), "{bench_name}::{func}");
+        machines.0.set_engine(SimEngine::Interp);
+
+        let candidates = oracle::candidate_battery(f.params.len(), &sc);
+        assert_battery_identical(&name, &mut machines, f, &candidates, sc.fuel);
+
+        let ctx = SemanticContext::new(&program, f, &sc, false);
+        let (base, ext) = (ctx.base_inputs(), ctx.ext_inputs());
+        assert!(!base.is_empty(), "{name}: empty oracle battery");
+        let mut exhausted = |fuel| -> Vec<bool> {
+            let runs = machines.1.run_battery(f, ext, fuel);
+            runs.iter().map(|(o, _)| *o == Err(SimError::OutOfFuel)).collect()
+        };
+        assert_eq!(exhausted(sc.fuel), exhausted(EXT_FUEL), "{name}: EXT_FUEL changes outcomes");
+
+        let mut seen = HashSet::new();
+        for tier in [MergeTier::Fingerprint, MergeTier::Semantic] {
+            let e = enumerate_tier(tier, Some(&program), f, &target, &config, &sc);
+            assert!(e.outcome.is_complete(), "{name}: {tier:?} search truncated");
+            if tier == MergeTier::Semantic {
+                assert!(e.space.sem_edge_count() > 0, "{name}: no semantic edges");
+            }
+            for g in oracle_instances(&e.space, f, &target) {
+                // Identical instances simulate identically; run each once.
+                if seen.insert(format!("{g:?}")) {
+                    let name = format!("{name} ({tier:?} tier) instance\n{g}");
+                    assert_battery_identical(&name, &mut machines, &g, base, sc.fuel);
+                    assert_battery_identical(&name, &mut machines, &g, ext, EXT_FUEL);
+                }
+            }
+        }
     }
 }
 
