@@ -13,16 +13,21 @@
 //! ```text
 //! cargo run --release -p bench --bin figures -- [table1|table2|fig1|...]
 //! ```
-//! With no argument, everything prints in order.
+//! With no argument, everything prints in order. `--jobs` is accepted
+//! but unused: every figure enumerates a small space serially.
 
-use phase_order::enumerate::{enumerate, Config, ReplayMode};
+use phase_order::enumerate::{enumerate, sequence_letters, Config, ReplayMode};
 use phase_order::interaction::InteractionAnalysis;
 use phase_order::prob::{probabilistic_compile, ProbTables};
 use vpo_opt::{attempt, PhaseId, Target};
 use vpo_rtl::canon;
 
+const SELECTORS: [&str; 10] =
+    ["table1", "table2", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8"];
+
 fn main() {
-    let which = std::env::args().nth(1).unwrap_or_default();
+    let args = bench::Args::from_env("figures", &SELECTORS);
+    let which = args.selector.unwrap_or_default();
     let all = which.is_empty();
     if all || which == "table1" {
         table1();
@@ -94,7 +99,6 @@ fn figs_1_2_4() {
     // Process in level order (level = shortest discovery depth, and all
     // edges go from expanded nodes, so repeated passes converge quickly).
     for _ in 0..space.len() {
-        let mut changed = false;
         let mut next = vec![0u64; space.len()];
         next[space.root().0 as usize] = 1;
         for (id, n) in space.iter() {
@@ -102,13 +106,10 @@ fn figs_1_2_4() {
                 next[c.0 as usize] += paths[id.0 as usize];
             }
         }
-        if next != paths {
-            paths = next;
-            changed = true;
-        }
-        if !changed {
+        if next == paths {
             break;
         }
+        paths = next;
     }
     let tree_nodes: u64 = paths.iter().sum();
     let depth = space.max_active_sequence_length();
@@ -131,16 +132,6 @@ fn figs_1_2_4() {
 fn converging_sequences(
     space: &phase_order::SearchSpace,
 ) -> Option<(Vec<PhaseId>, Vec<PhaseId>, phase_order::NodeId)> {
-    // Discovery path of a node.
-    let path_to = |mut id: phase_order::NodeId| {
-        let mut seq = Vec::new();
-        while let Some((parent, phase)) = space.node(id).discovered_from {
-            seq.push(phase);
-            id = parent;
-        }
-        seq.reverse();
-        seq
-    };
     // Scan edges for one that reaches an already-discovered node through a
     // different parent (a convergence edge).
     let mut best: Option<(Vec<PhaseId>, Vec<PhaseId>, phase_order::NodeId)> = None;
@@ -148,8 +139,8 @@ fn converging_sequences(
         for &(phase, v) in &u.children {
             let discovered = space.node(v).discovered_from;
             if discovered != Some((uid, phase)) && discovered.is_some() {
-                let via_discovery = path_to(v);
-                let mut via_here = path_to(uid);
+                let via_discovery = space.discovery_sequence(v);
+                let mut via_here = space.discovery_sequence(uid);
                 via_here.push(phase);
                 if via_discovery != via_here {
                     let cand = (via_discovery, via_here, v);
@@ -189,12 +180,11 @@ fn fig3() {
     };
     let fa = replay(&p.functions[0], &seq_a, &target);
     let fb = replay(&p.functions[0], &seq_b, &target);
-    let letters = |s: &[PhaseId]| s.iter().map(|p| p.letter()).collect::<String>();
     println!("source: {src}");
     println!(
         "sequences `{}` and `{}` both produce instance {node}:",
-        letters(&seq_a),
-        letters(&seq_b)
+        sequence_letters(&seq_a),
+        sequence_letters(&seq_b)
     );
     println!("{fa}");
     println!("identical instances: {}", canon::fingerprint(&fa) == canon::fingerprint(&fb));
@@ -218,7 +208,6 @@ fn fig5() {
     let p = vpo_frontend::compile(src).unwrap();
     let target = Target::default();
     let e = enumerate(&p.functions[0], &target, &Config::default());
-    let letters = |s: &[PhaseId]| s.iter().map(|p| p.letter()).collect::<String>();
     // Search all convergences for a textual mismatch.
     let mut shown = false;
     'outer: for (uid, u) in e.space.iter() {
@@ -227,25 +216,16 @@ fn fig5() {
             if discovered == Some((uid, phase)) || discovered.is_none() {
                 continue;
             }
-            let path_to = |mut id: phase_order::NodeId| {
-                let mut seq = Vec::new();
-                while let Some((parent, ph)) = e.space.node(id).discovered_from {
-                    seq.push(ph);
-                    id = parent;
-                }
-                seq.reverse();
-                seq
-            };
-            let seq_a = path_to(v);
-            let mut seq_b = path_to(uid);
+            let seq_a = e.space.discovery_sequence(v);
+            let mut seq_b = e.space.discovery_sequence(uid);
             seq_b.push(phase);
             let fa = replay(&p.functions[0], &seq_a, &target);
             let fb = replay(&p.functions[0], &seq_b, &target);
             if fa != fb {
                 println!(
                     "orders `{}` and `{}` produce textually different code:",
-                    letters(&seq_a),
-                    letters(&seq_b)
+                    sequence_letters(&seq_a),
+                    sequence_letters(&seq_b)
                 );
                 println!("(a)\n{fa}");
                 println!("(b)\n{fb}");
@@ -326,7 +306,7 @@ fn fig8() {
         "bit_count: attempted {} phases, {} active, sequence {}",
         stats.attempted,
         stats.active,
-        phase_order::enumerate::sequence_letters(&stats.sequence)
+        sequence_letters(&stats.sequence)
     );
     println!();
 }

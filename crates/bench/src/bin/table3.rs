@@ -2,8 +2,11 @@
 //! statistics for the MiBench suite.
 //!
 //! ```text
-//! cargo run --release -p bench --bin table3
+//! cargo run --release -p bench --bin table3 [-- --jobs N]
 //! ```
+//!
+//! The suite runs on one campaign pool of `--jobs` workers (default: one
+//! per CPU).
 //!
 //! Environment: `PHASE_ORDER_MAX_NODES` caps the per-function instance
 //! count (default 400,000); functions exceeding it print `N/A`, matching
@@ -12,25 +15,23 @@
 use phase_order::stats::FunctionRow;
 
 fn main() {
-    let config = bench::harness_config();
+    let config = bench::harness_config(bench::Args::from_env("table3", &[]).jobs);
     eprintln!(
         "enumerating phase-order spaces (cap: {} instances per function)...",
-        config.max_nodes
+        config.enumerate.max_nodes
     );
     let mut rows = bench::table3_rows(&config);
     // The paper sorts by unoptimized instruction count, descending.
-    rows.sort_by_key(|(row, _)| std::cmp::Reverse(row.insts));
+    rows.sort_by_key(|row| std::cmp::Reverse(row.insts));
 
     println!("Table 3: Function-Level Search Space Statistics");
     println!("{}", FunctionRow::header());
     let mut complete = 0usize;
-    let mut total = 0usize;
     let mut sum_diff = 0.0;
     let mut diffs = 0usize;
     let mut sums = (0u64, 0u64, 0u64, 0u64, 0u64, 0u64); // insts, fninst, attempt, len, cf, leaf
-    for (row, _e) in &rows {
+    for row in &rows {
         println!("{}", row.render());
-        total += 1;
         if let Some(instances) = row.fn_instances {
             complete += 1;
             sums.0 += row.insts as u64;
@@ -63,8 +64,9 @@ fn main() {
     }
     println!();
     println!(
-        "exhaustively enumerated {complete} of {total} functions ({:.1}%)",
-        complete as f64 * 100.0 / total as f64
+        "exhaustively enumerated {complete} of {} functions ({:.1}%)",
+        rows.len(),
+        complete as f64 * 100.0 / rows.len() as f64
     );
     if diffs > 0 {
         println!("average leaf code-size spread: {:.1}% (paper: 37.8%)", sum_diff / diffs as f64);

@@ -4,17 +4,19 @@
 //! ratios for time, code size, and dynamic instruction count.
 //!
 //! ```text
-//! cargo run --release -p bench --bin table7
+//! cargo run --release -p bench --bin table7 [-- --jobs N]
 //! ```
 //!
 //! The probability tables are mined from the suite's own exhaustive
-//! enumerations first, exactly as in the paper.
+//! enumerations first, exactly as in the paper, on one campaign pool of
+//! `--jobs` workers (default: one per CPU).
 
 use phase_order::prob::ProbTables;
 
 fn main() {
+    let config = bench::harness_config(bench::Args::from_env("table7", &[]).jobs);
     eprintln!("mining enabling/disabling probabilities from exhaustive enumerations...");
-    let ia = bench::suite_interaction(&bench::harness_config());
+    let ia = bench::suite_interaction(&config);
     let tables = ProbTables::from_analysis(&ia);
 
     eprintln!("compiling the suite twice (batch, probabilistic)...");

@@ -3,21 +3,22 @@
 //! mined from the exhaustively enumerated spaces of the whole suite.
 //!
 //! ```text
-//! cargo run --release -p bench --bin tables456 [enable|disable|independence]
+//! cargo run --release -p bench --bin tables456 [-- enable|disable|independence] [--jobs N]
 //! ```
 //!
-//! With no argument, all three tables print.
+//! With no selector, all three tables print. The suite runs on one
+//! campaign pool of `--jobs` workers (default: one per CPU).
 
 use vpo_opt::PhaseId;
 
 fn main() {
-    let which = std::env::args().nth(1);
+    let args = bench::Args::from_env("tables456", &["enable", "disable", "independence"]);
     eprintln!("enumerating the suite (this mines every completed space)...");
-    let ia = bench::suite_interaction(&bench::harness_config());
+    let ia = bench::suite_interaction(&bench::harness_config(args.jobs));
     eprintln!("accumulated {} functions", ia.function_count());
 
-    let all = which.is_none();
-    let which = which.unwrap_or_default();
+    let all = args.selector.is_none();
+    let which = args.selector.unwrap_or_default();
     if all || which == "enable" {
         print_enabling(&ia);
     }

@@ -1,5 +1,5 @@
 //! Shared harness for the table/figure regeneration binaries and the
-//! criterion benches.
+//! two microbenches.
 //!
 //! See `DESIGN.md` (experiment index) for which binary regenerates which
 //! table or figure of the paper, and DESIGN.md §9 for the perf suite
@@ -11,7 +11,9 @@ pub mod perf;
 
 use std::time::Duration;
 
-use phase_order::enumerate::{enumerate, Config, Enumeration};
+use phase_order::campaign::store::FunctionRecord;
+use phase_order::campaign::{self, CampaignConfig, FunctionTask};
+use phase_order::enumerate::{jobs_per_cpu, Config, Enumeration};
 use phase_order::interaction::InteractionAnalysis;
 use phase_order::prob::{probabilistic_compile, ProbTables};
 use phase_order::stats::FunctionRow;
@@ -24,8 +26,6 @@ use vpo_sim::Machine;
 pub struct SuiteFunction {
     /// `function_name(b)`-style display name.
     pub display: String,
-    /// The benchmark it came from.
-    pub benchmark: &'static str,
     /// The unoptimized function.
     pub function: Function,
     /// The whole program (for simulation).
@@ -42,7 +42,6 @@ pub fn suite_functions() -> Vec<SuiteFunction> {
         for f in &program.functions {
             out.push(SuiteFunction {
                 display: format!("{}({})", f.name, b.tag),
-                benchmark: b.name,
                 function: f.clone(),
                 program: program.clone(),
                 workloads: b.workloads_for(&f.name).into_iter().cloned().collect(),
@@ -52,82 +51,95 @@ pub fn suite_functions() -> Vec<SuiteFunction> {
     out
 }
 
-/// Enumerates every suite function in parallel. `config` is shared;
-/// `config.jobs` sizes the thread pool (`0` = one per available CPU);
-/// results come back in suite order.
-pub fn enumerate_suite(config: &Config) -> Vec<(SuiteFunction, Enumeration)> {
+/// Enumerates every suite function on one campaign pool of
+/// `config.jobs` workers ([`campaign::enumerate_all`]), which steals
+/// parent expansions across functions; results come back in suite order
+/// and are identical for any job count.
+pub fn enumerate_suite(config: &CampaignConfig) -> Vec<(SuiteFunction, Enumeration)> {
     let funcs = suite_functions();
-    let target = Target::default();
-    let threads = match config.jobs {
-        0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4),
-        n => n,
-    };
-    let work = std::sync::Mutex::new((0..funcs.len()).collect::<Vec<_>>());
-    let slots: Vec<std::sync::Mutex<Option<Enumeration>>> =
-        funcs.iter().map(|_| std::sync::Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let idx = {
-                    let mut w = work.lock().unwrap();
-                    match w.pop() {
-                        Some(i) => i,
-                        None => return,
-                    }
-                };
-                let e = enumerate(&funcs[idx].function, &target, config);
-                *slots[idx].lock().unwrap() = Some(e);
-            });
-        }
-    });
-    funcs
-        .into_iter()
-        .zip(slots.into_iter().map(|s| s.into_inner().unwrap().expect("enumerated")))
-        .collect()
+    let tasks: Vec<FunctionTask> = funcs
+        .iter()
+        .map(|s| FunctionTask { name: s.display.clone(), func: s.function.clone(), program: None })
+        .collect();
+    let spaces = campaign::enumerate_all(&tasks, &Target::default(), config);
+    funcs.into_iter().zip(spaces).collect()
 }
 
-/// Parses a `--jobs N` flag from the process arguments, falling back to
-/// the `PHASE_ORDER_JOBS` environment variable; `0` (the default) means
-/// one worker per available CPU.
-pub fn jobs_from_args() -> usize {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--jobs" || a == "-j" {
-            if let Some(n) = args.next().and_then(|v| v.parse().ok()) {
-                return n;
+/// The table and figure binaries' command line: `[SELECTOR] [--jobs N]`.
+#[derive(Debug, PartialEq, Eq)]
+pub struct Args {
+    /// Campaign pool size from `--jobs N` (also `-j N`, `--jobs=N`; the
+    /// last occurrence wins). Absent or `0` means one worker per CPU.
+    pub jobs: usize,
+    /// The first non-flag argument: which table or figure to print.
+    pub selector: Option<String>,
+}
+
+impl Args {
+    /// Parses `args` (without the program name). A selector must be one
+    /// of `known`; unknown flags, unparsable job counts and extra
+    /// arguments are errors.
+    pub fn parse(args: impl IntoIterator<Item = String>, known: &[&str]) -> Result<Args, String> {
+        let mut jobs = 0;
+        let mut selector = None;
+        let mut args = args.into_iter();
+        while let Some(a) = args.next() {
+            let value = match a.as_str() {
+                "--jobs" | "-j" => Some(args.next().ok_or("--jobs needs a value")?),
+                _ => a.strip_prefix("--jobs=").map(str::to_owned),
+            };
+            if let Some(v) = value {
+                jobs = v.parse().map_err(|_| format!("--jobs: `{v}` is not a worker count"))?;
+            } else if a.starts_with('-') {
+                return Err(format!("unknown flag `{a}`"));
+            } else if selector.is_some() {
+                return Err(format!("unexpected argument `{a}`"));
+            } else if !known.contains(&a.as_str()) {
+                return Err(format!("unknown selector `{a}`"));
+            } else {
+                selector = Some(a);
             }
-        } else if let Some(n) = a.strip_prefix("--jobs=").and_then(|v| v.parse().ok()) {
-            return n;
         }
+        Ok(Args { jobs: if jobs == 0 { jobs_per_cpu() } else { jobs }, selector })
     }
-    std::env::var("PHASE_ORDER_JOBS").ok().and_then(|v| v.parse().ok()).unwrap_or(0)
+
+    /// Parses the process arguments of binary `bin`; on an error, prints
+    /// it with a usage line and exits with status 2.
+    pub fn from_env(bin: &str, known: &[&str]) -> Args {
+        Args::parse(std::env::args().skip(1), known).unwrap_or_else(|e| {
+            let sel =
+                if known.is_empty() { String::new() } else { format!(" [{}]", known.join("|")) };
+            eprintln!("error: {e}\nusage: {bin}{sel} [--jobs N]");
+            std::process::exit(2)
+        })
+    }
 }
 
-/// Default enumeration budget for the harness binaries: generous enough
-/// for almost every suite function, while keeping the heavyweights
-/// (the fft butterfly nest) reported as "too big", as in the paper.
-/// `--jobs N` (or `PHASE_ORDER_JOBS`) sizes the enumeration thread pool.
-pub fn harness_config() -> Config {
+/// The table binaries' suite enumeration on a pool of `jobs` workers,
+/// with a budget generous enough for almost every suite function while
+/// keeping the heavyweights (the fft butterfly nest) reported as "too
+/// big", as in the paper. `PHASE_ORDER_MAX_NODES` overrides the
+/// per-function instance cap.
+pub fn harness_config(jobs: usize) -> CampaignConfig {
     let max_nodes =
         std::env::var("PHASE_ORDER_MAX_NODES").ok().and_then(|v| v.parse().ok()).unwrap_or(400_000);
-    Config { max_nodes, max_level_width: 200_000, jobs: jobs_from_args(), ..Config::default() }
+    let enumerate = Config { max_nodes, max_level_width: 200_000, ..Config::default() };
+    CampaignConfig { enumerate, jobs, ..CampaignConfig::default() }
 }
 
-/// Builds Table-3 rows for the whole suite.
-pub fn table3_rows(config: &Config) -> Vec<(FunctionRow, Enumeration)> {
+/// Builds Table-3 rows for the whole suite, in suite order.
+pub fn table3_rows(config: &CampaignConfig) -> Vec<FunctionRow> {
     enumerate_suite(config)
         .into_iter()
-        .map(|(sf, e)| (FunctionRow::new(sf.display.clone(), &sf.function, &e), e))
+        .map(|(sf, e)| FunctionRecord::from_enumeration(sf.display, &sf.function, &e).to_row())
         .collect()
 }
 
 /// Accumulates the interaction analysis over every completed space.
-pub fn suite_interaction(config: &Config) -> InteractionAnalysis {
+pub fn suite_interaction(config: &CampaignConfig) -> InteractionAnalysis {
     let mut ia = InteractionAnalysis::new();
-    for (_, e) in enumerate_suite(config) {
-        if e.outcome.is_complete() {
-            ia.add_space(&e.space);
-        }
+    for (_, e) in enumerate_suite(config).iter().filter(|(_, e)| e.outcome.is_complete()) {
+        ia.add_space(&e.space);
     }
     ia
 }
@@ -213,5 +225,48 @@ pub fn fmt_prob(p: Option<f64>, blank_under: f64) -> String {
     match p {
         Some(v) if v >= blank_under => format!("{v:.2}"),
         _ => "    ".to_owned(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str], selectors: &[&str]) -> Result<Args, String> {
+        Args::parse(args.iter().map(|a| a.to_string()), selectors)
+    }
+
+    #[test]
+    fn jobs_and_selector_parse_in_any_order() {
+        for args in [
+            &["--jobs", "3", "enable"][..],
+            &["enable", "-j", "3"],
+            &["--jobs=3", "enable"],
+            &["--jobs", "1", "enable", "--jobs=3"],
+        ] {
+            let want = Args { jobs: 3, selector: Some("enable".into()) };
+            assert_eq!(parse(args, &["enable"]), Ok(want), "{args:?}");
+        }
+    }
+
+    #[test]
+    fn absent_or_zero_jobs_mean_one_per_cpu() {
+        let per_cpu = Args { jobs: jobs_per_cpu(), selector: None };
+        assert_eq!(parse(&[], &[]), Ok(per_cpu));
+        assert_eq!(parse(&["--jobs", "0"], &[]).unwrap().jobs, jobs_per_cpu());
+    }
+
+    #[test]
+    fn malformed_command_lines_are_rejected() {
+        for args in [
+            &["--jobs", "abc"][..],
+            &["--jobs=-1"],
+            &["--jobs"],
+            &["--verbose"],
+            &["bogus"],
+            &["enable", "disable"],
+        ] {
+            assert!(parse(args, &["enable", "disable"]).is_err(), "{args:?} accepted");
+        }
     }
 }

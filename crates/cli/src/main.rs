@@ -54,7 +54,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use phase_order::audit;
-use phase_order::campaign::store::{Completeness, MemoEntry};
+use phase_order::campaign::store::{Completeness, FunctionRecord, MemoEntry};
 use phase_order::campaign::{self, CampaignConfig, FunctionTask};
 use phase_order::enumerate::{enumerate_tier, Config};
 use phase_order::oracle;
@@ -384,7 +384,7 @@ fn explore_cmd(argv: &[String]) -> Result<(), String> {
         // quotient line follows with both DAG sizes and the collapse
         // factor.
         let e = enumerate_tier(request.tier, Some(&program), f, &target, config, &request.semantic);
-        println!("{}", FunctionRow::new(f.name.clone(), f, &e).render());
+        println!("{}", FunctionRecord::from_enumeration(f.name.clone(), f, &e).to_row().render());
         if request.tier.is_semantic() {
             let (fp_n, sem_n) = (e.space.len(), e.space.sem_class_count());
             let collapse = fp_n as f64 / sem_n.max(1) as f64;
@@ -477,16 +477,11 @@ impl campaign::Observer for Progress {
         self.status(&format!("  {name}: level {level}, frontier {frontier}, {nodes} instances"));
     }
 
-    fn function_done(&self, index: usize, total: usize, record: &campaign::store::FunctionRecord) {
+    fn function_done(&self, index: usize, total: usize, record: &FunctionRecord) {
         self.report(index, total, record);
     }
 
-    fn function_suspended(
-        &self,
-        index: usize,
-        total: usize,
-        record: &campaign::store::FunctionRecord,
-    ) {
+    fn function_suspended(&self, index: usize, total: usize, record: &FunctionRecord) {
         self.report(index, total, record);
     }
 }
@@ -494,7 +489,7 @@ impl campaign::Observer for Progress {
 impl Progress {
     /// Completion/suspension line, rendered through the typed memo view
     /// so the CLI and the daemon describe records identically.
-    fn report(&self, index: usize, total: usize, record: &campaign::store::FunctionRecord) {
+    fn report(&self, index: usize, total: usize, record: &FunctionRecord) {
         if self.live {
             eprint!("\r{:<78}\r", "");
         }

@@ -223,10 +223,16 @@ pub struct CampaignSummary {
 
 /// One task as the driver sees it, borrowed from a [`FunctionTask`] or
 /// from an [`crate::enumerate()`] call.
-struct TaskRef<'a> {
-    name: &'a str,
-    func: &'a Function,
-    program: Option<&'a Program>,
+pub(crate) struct TaskRef<'a> {
+    pub(crate) name: &'a str,
+    pub(crate) func: &'a Function,
+    pub(crate) program: Option<&'a Program>,
+}
+
+impl<'a> From<&'a FunctionTask> for TaskRef<'a> {
+    fn from(t: &'a FunctionTask) -> Self {
+        TaskRef { name: &t.name, func: &t.func, program: t.program.as_deref() }
+    }
 }
 
 /// One in-flight function search: the per-function state of the
@@ -284,8 +290,9 @@ struct DriverState<'a> {
     /// One slot per task; a `Some` holds either a terminal record or a
     /// suspended checkpoint awaiting restoration.
     completed: Vec<Option<FunctionRecord>>,
-    /// The finished search of a single-task [`enumerate_one`] run.
-    enumeration: Option<Enumeration>,
+    /// In an [`enumerate_tasks`] run, one slot per task for its finished
+    /// search, which is handed back instead of recorded; empty otherwise.
+    enumerations: Vec<Option<Enumeration>>,
     fresh: usize,
     suspended: usize,
     deepened: usize,
@@ -307,9 +314,6 @@ struct Ctx<'a> {
     config: &'a CampaignConfig,
     store_path: Option<&'a Path>,
     observer: &'a dyn Observer,
-    /// Hand each finished search back as an [`Enumeration`] instead of
-    /// recording it.
-    enumerating: bool,
     state: Mutex<DriverState<'a>>,
     cv: Condvar,
 }
@@ -443,11 +447,8 @@ fn drive(
     resumed: usize,
     start: Instant,
 ) -> Result<CampaignSummary, CampaignError> {
-    let tasks: Vec<TaskRef<'_>> = tasks
-        .iter()
-        .map(|t| TaskRef { name: &t.name, func: &t.func, program: t.program.as_deref() })
-        .collect();
-    let st = pool(&tasks, target, store_path, config, observer, completed, false);
+    let tasks: Vec<TaskRef<'_>> = tasks.iter().map(TaskRef::from).collect();
+    let st = pool(&tasks, target, store_path, config, observer, completed, Vec::new());
     if let Some(err) = st.failure {
         return Err(err);
     }
@@ -463,18 +464,37 @@ fn drive(
     })
 }
 
-/// Runs one function's search on the pool as a task with no store and
-/// no budget, and hands back the finished [`Enumeration`] — the engine
-/// behind [`crate::enumerate::enumerate_tier`].
-pub(crate) fn enumerate_one(
-    f: &Function,
-    program: Option<&Program>,
+/// Enumerates every task on one worker pool with no store, stealing
+/// parent expansions across functions as [`run`] does, and returns one
+/// [`Enumeration`] per task in task order, each identical to a serial
+/// [`crate::enumerate()`] of that task. Panics if the config sets a
+/// budget, cancel flag or `stop_after`: every search runs to its end.
+pub fn enumerate_all(
+    tasks: &[FunctionTask],
     target: &Target,
     config: &CampaignConfig,
-) -> Enumeration {
-    let tasks = [TaskRef { name: &f.name, func: f, program }];
-    let st = pool(&tasks, target, None, config, &NullObserver, vec![None], true);
-    st.enumeration.expect("a search with no budget, cancel or store runs to its end")
+) -> Vec<Enumeration> {
+    let tasks: Vec<TaskRef<'_>> = tasks.iter().map(TaskRef::from).collect();
+    enumerate_tasks(&tasks, target, config)
+}
+
+/// [`enumerate_all`] on borrowed tasks — also the engine behind
+/// [`crate::enumerate::enumerate_tier`], on a one-task list.
+pub(crate) fn enumerate_tasks(
+    tasks: &[TaskRef<'_>],
+    target: &Target,
+    config: &CampaignConfig,
+) -> Vec<Enumeration> {
+    assert!(
+        config.budget.is_none() && config.cancel.is_none() && config.stop_after.is_none(),
+        "enumeration runs every search to its end: no budget, cancel or stop_after"
+    );
+    let slots = tasks.iter().map(|_| None).collect();
+    let st = pool(tasks, target, None, config, &NullObserver, vec![None; tasks.len()], slots);
+    st.enumerations
+        .into_iter()
+        .map(|e| e.expect("a search with no budget, cancel or store runs to its end"))
+        .collect()
 }
 
 /// Runs [`CampaignConfig::jobs`] workers — the calling thread plus
@@ -487,7 +507,7 @@ fn pool<'a>(
     config: &'a CampaignConfig,
     observer: &'a dyn Observer,
     completed: Vec<Option<FunctionRecord>>,
-    enumerating: bool,
+    enumerations: Vec<Option<Enumeration>>,
 ) -> DriverState<'a> {
     let ctx = Ctx {
         tasks,
@@ -495,12 +515,11 @@ fn pool<'a>(
         config,
         store_path,
         observer,
-        enumerating,
         state: Mutex::new(DriverState {
             next_pending: 0,
             active: Vec::new(),
             completed,
-            enumeration: None,
+            enumerations,
             fresh: 0,
             suspended: 0,
             deepened: 0,
@@ -597,8 +616,12 @@ fn worker(ctx: &Ctx<'_>) {
         // merges into it.
         drop(job);
         let mut st = ctx.state.lock().unwrap();
-        deposit(ctx, &mut st, task, first, records);
+        let retired = deposit(ctx, &mut st, task, first, records);
         ctx.cv.notify_all();
+        // Free a merged level's parent instances outside the lock: that
+        // is most of a fingerprint-tier merge's cost.
+        drop(st);
+        drop(retired);
     }
 }
 
@@ -735,16 +758,10 @@ fn restore_search<'a>(ctx: &Ctx<'a>, task: usize, rec: &FunctionRecord) -> Searc
     let sem = ctx.semantic(task).map(|mut sem| {
         // Pruned nodes are never founders (their `sem_rep` resolves
         // through the parent's pruned edge), so the founder walk below
-        // re-registers only representatives and re-records every merged
-        // node's class membership — rebuilding the exact class table
-        // *and* node→representative map (the pruned tier's lookahead
-        // consults it) the original run had at this barrier.
-        for (id, _) in space.iter() {
-            let rep = space.sem_rep(id);
-            if rep != id {
-                sem.record_merge(id, rep);
-                continue;
-            }
+        // re-registers only representatives — rebuilding the exact class
+        // table the original run had at this barrier. Class membership
+        // of merged nodes lives in the space's own merge edges.
+        for id in space.iter().map(|(id, _)| id).filter(|&id| space.sem_rep(id) == id) {
             let func = Arc::new(remat(id));
             let sig = sem.signature(&func);
             sem.register(sig, id, &func);
@@ -795,20 +812,21 @@ fn restore_search<'a>(ctx: &Ctx<'a>, task: usize, rec: &FunctionRecord) -> Searc
 /// frontier index `first`; when the level's last expansion lands, merges
 /// the level in frontier order (restoring the serial discovery order)
 /// and either refills the frontier or finalizes and checkpoints the
-/// function.
+/// function. Returns the merged level's frontier, so the caller frees
+/// its instances after releasing the scheduler lock.
 fn deposit(
     ctx: &Ctx<'_>,
     st: &mut DriverState<'_>,
     task: usize,
     first: usize,
     records: Vec<Vec<AttemptRecord>>,
-) {
+) -> Vec<FrontierEntry> {
     // A checkpoint that reached `stop_after` halts the campaign the
     // moment it lands; expansions still in flight on other workers are
     // discarded so the store stays exactly at the cut boundary instead
     // of racing in one more record.
     if st.halt || st.failure.is_some() {
-        return;
+        return Vec::new();
     }
     let pos = st
         .active
@@ -822,7 +840,7 @@ fn deposit(
         *slot = Some(r);
     }
     if s.filled < s.frontier.len() {
-        return;
+        return Vec::new();
     }
 
     // Level barrier reached: merge every parent in frontier order.
@@ -880,7 +898,7 @@ fn deposit(
             s.claimed = 0;
             s.filled = 0;
         }
-        return;
+        return frontier;
     }
 
     // Function complete (or truncated): build its result.
@@ -895,20 +913,21 @@ fn deposit(
         tm.campaign_functions_truncated.inc();
     }
     let e = Enumeration { space, outcome, stats };
-    if ctx.enumerating {
-        st.enumeration = Some(e);
-        return;
+    if !st.enumerations.is_empty() {
+        st.enumerations[task] = Some(e);
+        return frontier;
     }
     let record = FunctionRecord::from_enumeration(name.to_owned(), ctx.tasks[task].func, &e);
     st.completed[task] = Some(record.clone());
     st.fresh += 1;
     if !flush_store(ctx, st) {
-        return;
+        return frontier;
     }
     ctx.observer.function_done(task, ctx.tasks.len(), &record);
     if ctx.config.stop_after == Some(st.fresh) {
         st.halt = true;
     }
+    frontier
 }
 
 /// Suspends the in-flight search at `pos` in `st.active`: its partial
@@ -1035,6 +1054,34 @@ mod tests {
             let direct = FunctionRecord::from_enumeration(task.name.clone(), &task.func, &e);
             assert_eq!(*rec, direct, "{}", task.name);
         }
+    }
+
+    #[test]
+    fn enumerate_all_matches_per_task_enumeration() {
+        let tasks = three_functions();
+        let target = Target::default();
+        for jobs in [0usize, 2, 5] {
+            let config = CampaignConfig { jobs, ..CampaignConfig::default() };
+            let all = enumerate_all(&tasks, &target, &config);
+            assert_eq!(all.len(), tasks.len());
+            for (task, e) in tasks.iter().zip(&all) {
+                let direct = crate::enumerate(&task.func, &target, &Config::default());
+                assert_eq!(e.space.to_dot(), direct.space.to_dot(), "{} at jobs {jobs}", task.name);
+                assert_eq!(
+                    FunctionRecord::from_enumeration(task.name.clone(), &task.func, e),
+                    FunctionRecord::from_enumeration(task.name.clone(), &task.func, &direct),
+                    "{} at jobs {jobs}",
+                    task.name
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "no budget, cancel or stop_after")]
+    fn enumerate_all_rejects_a_budget() {
+        let config = CampaignConfig { budget: Some(1), ..CampaignConfig::default() };
+        enumerate_all(&three_functions(), &Target::default(), &config);
     }
 
     #[test]

@@ -38,7 +38,7 @@ use vpo_rtl::canon::Fingerprint;
 use vpo_rtl::crc;
 use vpo_rtl::{FuncFlags, Function};
 
-use crate::enumerate::{Config, Enumeration, ReplayMode};
+use crate::enumerate::{sequence_letters, Config, Enumeration, ReplayMode};
 use crate::semantic::SemanticConfig;
 use crate::space::{Node, NodeId};
 use crate::stats::FunctionRow;
@@ -468,10 +468,9 @@ impl FunctionRecord {
         let cfg = vpo_rtl::cfg::Cfg::build(f);
         let (code_min, code_max) = e.space.leaf_code_size_range().unwrap_or((0, 0));
         let (best_sequence, best_insts) = match e.space.best_leaf() {
-            Some(leaf) => (
-                e.space.discovery_sequence(leaf).iter().map(|p| p.letter()).collect(),
-                e.space.node(leaf).inst_count,
-            ),
+            Some(leaf) => {
+                (sequence_letters(&e.space.discovery_sequence(leaf)), e.space.node(leaf).inst_count)
+            }
             None => (String::new(), 0),
         };
         FunctionRecord {

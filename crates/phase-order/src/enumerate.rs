@@ -46,7 +46,7 @@ use vpo_rtl::canon::{self, Canonicalizer, Fingerprint};
 use vpo_rtl::cfg::control_flow_signature;
 use vpo_rtl::{FuncFlags, Function, Program};
 
-use crate::campaign::CampaignConfig;
+use crate::campaign::{enumerate_tasks, CampaignConfig, TaskRef};
 use crate::request::MergeTier;
 use crate::semantic::{Resolution, SemanticConfig, SemanticContext};
 use crate::space::{Node, NodeId, SearchSpace};
@@ -440,8 +440,8 @@ pub(crate) fn merge_parent(
                                     // earlier-level node was expanded, so a
                                     // same-level representative has no
                                     // children yet and never subsumes.
-                                    let pruned = sem.pruning()
-                                        && sem.subsumes(cand, &space.node(rep).children, target);
+                                    let pruned =
+                                        sem.pruning() && sem.subsumes(cand, space, rep, target);
                                     Disposition::Insert(SemResolution::Merged { rep, pruned })
                                 }
                                 Resolution::Fresh { collided } => {
@@ -539,9 +539,6 @@ pub(crate) fn merge_parent(
                             .register(sig, id, &func);
                     }
                     SemResolution::Merged { rep, pruned } => {
-                        sem.as_deref_mut()
-                            .expect("merge implies the semantic tier is on")
-                            .record_merge(id, rep);
                         stats.sem_merges += 1;
                         tm_sem_hits += 1;
                         if pruned {
@@ -626,12 +623,10 @@ pub(crate) fn seed_root(
 }
 
 /// Rebuilds the function instance of a node by replaying its discovery
-/// sequence from the unoptimized root — the rematerialization step of
-/// frontier resume. Checkpoints persist only the space topology;
-/// suspended frontier instances (and, in paranoid or semantic mode,
-/// their canonical bytes and signatures) are regrown through the
-/// discovery edges, exactly as naive replay would produce them.
-pub(crate) fn rematerialize(
+/// sequence from the unoptimized `root`, exactly as naive replay would.
+/// Spaces keep only topology, so this recovers any instance: frontier
+/// resume, the audit and dynamic-count inference all use it.
+pub fn rematerialize(
     root: &Function,
     target: &Target,
     space: &SearchSpace,
@@ -739,7 +734,8 @@ pub fn enumerate_tier(
         sem_pruned: tier == MergeTier::SemanticPruned,
         ..CampaignConfig::default()
     };
-    let e = crate::campaign::enumerate_one(f, program, target, &campaign);
+    let task = [TaskRef { name: &f.name, func: f, program }];
+    let e = enumerate_tasks(&task, target, &campaign).remove(0);
     if !e.outcome.is_complete() {
         tm.searches_truncated.inc();
     }
@@ -754,6 +750,11 @@ pub fn jobs_per_cpu() -> usize {
 
 /// Convenience: renders an active phase sequence as its letter string
 /// (e.g. `"scks"`), the notation used throughout the paper.
+// Inlined into each caller: one shared out-of-line copy, called from the
+// store and the oracle, changed how the crate's hot enumeration code was
+// split across codegen units and slowed single-function enumeration by
+// 7–10% in release builds.
+#[inline]
 pub fn sequence_letters(seq: &[PhaseId]) -> String {
     seq.iter().map(|p| p.letter()).collect()
 }

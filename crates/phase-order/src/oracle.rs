@@ -52,7 +52,7 @@ use vpo_rtl::rng::Rng;
 use vpo_rtl::{Function, Program};
 use vpo_sim::{Machine, SimError};
 
-use crate::enumerate::Enumeration;
+use crate::enumerate::{sequence_letters, Enumeration};
 use crate::semantic::SemanticConfig;
 use crate::space::{NodeId, SearchSpace};
 
@@ -229,11 +229,6 @@ pub fn materialize_all(space: &SearchSpace, root: &Function, target: &Target) ->
         out.push(f);
     }
     out
-}
-
-/// The discovery sequence of a node, rendered in letter notation.
-fn discovery_sequence(space: &SearchSpace, id: NodeId) -> String {
-    space.discovery_sequence(id).iter().map(|p| p.letter()).collect()
 }
 
 /// Executes `f` once on `args`, returning the observation and the dynamic
@@ -495,7 +490,7 @@ pub fn verify(
                         node: *id,
                         inst_count: node.inst_count,
                         dynamic: res.dynamic,
-                        sequence: discovery_sequence(space, *id),
+                        sequence: sequence_letters(&space.discovery_sequence(*id)),
                     });
                 }
             }

@@ -90,7 +90,7 @@ use vpo_rtl::{Expr, FuncFlags, Function, Program, Reg};
 use vpo_sim::{BatteryOutcome, Machine};
 
 use crate::oracle::{self, Observation};
-use crate::space::NodeId;
+use crate::space::{NodeId, SearchSpace};
 
 /// The simulation battery shared by the semantic merge tier and the
 /// differential oracle ([`crate::oracle::verify`]).
@@ -232,10 +232,6 @@ pub struct SemanticContext<'p> {
     /// comparison is candidate-vs-representative, so traps count too).
     ext: Vec<Vec<i32>>,
     classes: HashMap<Signature, Vec<ClassRep>>,
-    /// Every inserted node's class representative (founders map to
-    /// themselves) — the lookup behind the pruned tier's one-step
-    /// subsumption check ([`SemanticContext::subsumes`]).
-    node_rep: HashMap<NodeId, NodeId>,
 }
 
 impl<'p> SemanticContext<'p> {
@@ -256,13 +252,7 @@ impl<'p> SemanticContext<'p> {
             base,
             ext: extended_battery(f.params.len(), config),
             classes: HashMap::new(),
-            node_rep: HashMap::new(),
         }
-    }
-
-    /// Whether escalation is enabled.
-    pub fn paranoid(&self) -> bool {
-        self.paranoid
     }
 
     /// Switches the context into the *pruned* tier: signature hits whose
@@ -339,27 +329,23 @@ impl<'p> SemanticContext<'p> {
     /// signature class. `func` is retained only in paranoid mode.
     pub fn register(&mut self, sig: Signature, node: NodeId, func: &Arc<Function>) {
         let func = self.paranoid.then(|| Arc::clone(func));
-        self.node_rep.insert(node, node);
         self.classes.entry(sig).or_default().push(ClassRep { node, func, ext: None });
-    }
-
-    /// Records that `node` was inserted as a merge into `rep`'s class —
-    /// the bookkeeping [`SemanticContext::subsumes`] needs to map a
-    /// representative's child back to that child's own class.
-    pub fn record_merge(&mut self, node: NodeId, rep: NodeId) {
-        self.node_rep.insert(node, rep);
     }
 
     /// The pruned tier's subsumption check, run at the merge site once a
     /// candidate's signature has matched a representative's: a *one-step
     /// lookahead* over the candidate's realized successors. Every phase
     /// that actually fires on the candidate must have a child at the
-    /// representative (`rep_children`, its exact expanded edge list) that
-    /// lands in the **same behavioral class** as the candidate's own
-    /// result for that phase. Signature equality is not a congruence
-    /// under phase application — a phase both instances fire can take
-    /// them to different classes — so a static mask comparison is not
-    /// enough; the lookahead checks where the successors really land.
+    /// representative `rep` (its exact expanded edge list in `space`)
+    /// that lands in the **same behavioral class** as the candidate's own
+    /// result for that phase. A child's class is read off the space
+    /// ([`SearchSpace::sem_rep`]): the representative has children only
+    /// once its own merge has finished, so every child's discovering
+    /// parent has already written its merge edges. Signature equality is
+    /// not a congruence under phase application — a phase both instances
+    /// fire can take them to different classes — so a static mask
+    /// comparison is not enough; the lookahead checks where the
+    /// successors really land.
     ///
     /// A representative with no children (same level and not yet
     /// expanded, or itself final) never subsumes, and a candidate with
@@ -373,9 +359,11 @@ impl<'p> SemanticContext<'p> {
     pub fn subsumes(
         &mut self,
         cand: &Function,
-        rep_children: &[(PhaseId, NodeId)],
+        space: &SearchSpace,
+        rep: NodeId,
         target: &Target,
     ) -> bool {
+        let rep_children = &space.node(rep).children;
         if rep_children.is_empty() {
             return false;
         }
@@ -395,9 +383,7 @@ impl<'p> SemanticContext<'p> {
             let Some(&(_, child)) = rep_children.iter().find(|&&(p, _)| p == phase) else {
                 return false;
             };
-            let Some(&rep_of_child) = self.node_rep.get(&child) else {
-                return false;
-            };
+            let rep_of_child = space.sem_rep(child);
             let sig = self.signature(&step);
             let Some(reps) = self.classes.get(&sig) else {
                 return false;

@@ -1,12 +1,7 @@
 //! Per-function search-space statistics — the rows of Table 3.
 
-use vpo_rtl::cfg::Cfg;
-use vpo_rtl::loops::loop_count;
-use vpo_rtl::Function;
-
-use crate::enumerate::Enumeration;
-
-/// One row of the paper's Table 3.
+/// One row of the paper's Table 3, built from a function's store record
+/// with [`crate::campaign::store::FunctionRecord::to_row`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct FunctionRow {
     /// Function name (with its benchmark tag where applicable).
@@ -37,30 +32,6 @@ pub struct FunctionRow {
 }
 
 impl FunctionRow {
-    /// Builds a row from a function and its enumeration result.
-    pub fn new(name: impl Into<String>, f: &Function, e: &Enumeration) -> Self {
-        let cfg = Cfg::build(f);
-        let complete = e.outcome.is_complete();
-        let (code_min, code_max) = match e.space.leaf_code_size_range() {
-            Some((lo, hi)) if complete => (Some(lo), Some(hi)),
-            _ => (None, None),
-        };
-        FunctionRow {
-            name: name.into(),
-            insts: f.inst_count(),
-            blocks: f.blocks.len(),
-            branches: f.branch_count(),
-            loops: loop_count(&cfg),
-            fn_instances: complete.then_some(e.space.len()),
-            attempted_phases: complete.then_some(e.stats.attempted_phases),
-            max_seq_len: complete.then_some(e.space.max_active_sequence_length()),
-            control_flows: complete.then_some(e.space.distinct_control_flows()),
-            leaves: complete.then_some(e.space.leaf_count()),
-            code_max,
-            code_min,
-        }
-    }
-
     /// Percentage code-size difference between the worst and best leaf
     /// (`% Diff` — "the maximum difference in code size that is possible
     /// due to different phase orderings").
@@ -119,6 +90,7 @@ impl FunctionRow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::store::FunctionRecord;
     use crate::enumerate::{enumerate, Config};
     use vpo_opt::Target;
 
@@ -130,7 +102,7 @@ mod tests {
         .unwrap();
         let f = &p.functions[0];
         let e = enumerate(f, &Target::default(), &Config::default());
-        let row = FunctionRow::new("f(t)", f, &e);
+        let row = FunctionRecord::from_enumeration("f(t)", f, &e).to_row();
         assert_eq!(row.loops, 1);
         assert!(row.fn_instances.unwrap() > 5);
         assert!(row.attempted_phases.unwrap() > row.fn_instances.unwrap() as u64);
@@ -154,7 +126,7 @@ mod tests {
         let f = &p.functions[0];
         let e =
             enumerate(f, &Target::default(), &Config { max_level_width: 1, ..Config::default() });
-        let row = FunctionRow::new("f(t)", f, &e);
+        let row = FunctionRecord::from_enumeration("f(t)", f, &e).to_row();
         assert_eq!(row.fn_instances, None);
         assert!(row.render().contains("N/A"));
     }

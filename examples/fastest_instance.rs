@@ -9,8 +9,8 @@
 
 use exhaustive_phase_order as epo;
 
-use epo::cf_infer::{leaf_dynamic_counts, materialize};
-use epo::explore::enumerate::{enumerate, Config};
+use epo::cf_infer::leaf_dynamic_counts;
+use epo::explore::enumerate::{enumerate, rematerialize, Config};
 use epo::opt::batch::batch_compile;
 use epo::opt::Target;
 
@@ -79,7 +79,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 4. Materialize the optimum and double-check semantics.
-    let best = materialize(f, &e, fastest.node, &target);
+    let best = rematerialize(f, &target, &e.space, fastest.node);
     let mut m2 = epo::sim::Machine::new(&program);
     assert_eq!(m2.call_instance(&best, &args)?, batch_result);
     println!("\noptimal instance:\n{best}");

@@ -18,8 +18,9 @@
 
 use std::collections::HashMap;
 
+use phase_order::enumerate::rematerialize;
 use phase_order::{Enumeration, NodeId};
-use vpo_opt::{attempt, Target};
+use vpo_opt::Target;
 use vpo_rtl::{Function, Program};
 use vpo_sim::{Machine, SimError};
 
@@ -61,22 +62,6 @@ impl CfInference {
     }
 }
 
-/// Rematerializes an instance by replaying its discovery sequence.
-pub fn materialize(base: &Function, e: &Enumeration, node: NodeId, target: &Target) -> Function {
-    let mut seq = Vec::new();
-    let mut cur = node;
-    while let Some((parent, phase)) = e.space.node(cur).discovered_from {
-        seq.push(phase);
-        cur = parent;
-    }
-    seq.reverse();
-    let mut g = base.clone();
-    for &p in &seq {
-        attempt(&mut g, p, target);
-    }
-    g
-}
-
 /// Computes the dynamic instruction count of **every leaf instance** of an
 /// enumerated space on the given workload, executing only one instance per
 /// distinct control flow and inferring the rest.
@@ -100,7 +85,7 @@ pub fn leaf_dynamic_counts(
         if !node.is_leaf() {
             continue;
         }
-        let f = materialize(base, e, id, target);
+        let f = rematerialize(base, target, &e.space, id);
         debug_assert_eq!(vpo_rtl::canon::fingerprint(&f), node.fp);
         let (block_counts, was_measured) = match measured.get(&node.cf_sig) {
             Some(c) => (c.clone(), false),
@@ -147,7 +132,7 @@ mod tests {
         assert!(inf.executions <= e.space.distinct_control_flows());
         // Cross-check every inferred leaf against a direct counted run.
         for leaf in &inf.leaves {
-            let f = materialize(&p.functions[0], &e, leaf.node, &target);
+            let f = rematerialize(&p.functions[0], &target, &e.space, leaf.node);
             let mut m = Machine::new(&p);
             let (_, counts) = m.call_instance_counted(&f, &[17]).unwrap();
             let direct: u64 =
@@ -180,8 +165,8 @@ mod tests {
             setup("int h(int n) { int s = 1; while (n > 1) { s *= n & 7; n--; } return s; }");
         let target = Target::default();
         let inf = leaf_dynamic_counts(&p, &p.functions[0], &e, &[9], &target).unwrap();
-        let fast = materialize(&p.functions[0], &e, inf.fastest().unwrap().node, &target);
-        let slow = materialize(&p.functions[0], &e, inf.slowest().unwrap().node, &target);
+        let fast = rematerialize(&p.functions[0], &target, &e.space, inf.fastest().unwrap().node);
+        let slow = rematerialize(&p.functions[0], &target, &e.space, inf.slowest().unwrap().node);
         let mut m1 = Machine::new(&p);
         let mut m2 = Machine::new(&p);
         assert_eq!(m1.call_instance(&fast, &[9]).unwrap(), m2.call_instance(&slow, &[9]).unwrap());

@@ -3,10 +3,10 @@
 
 use exhaustive_phase_order as epo;
 
+use epo::explore::campaign::store::FunctionRecord;
 use epo::explore::enumerate::{enumerate, Config};
 use epo::explore::interaction::InteractionAnalysis;
 use epo::explore::prob::{probabilistic_compile, ProbTables};
-use epo::explore::stats::FunctionRow;
 use epo::opt::batch::batch_compile;
 use epo::opt::{PhaseId, Target};
 
@@ -55,7 +55,7 @@ fn code_size_spread_matches_paper_shape() {
     let mut spreads = Vec::new();
     for (name, f) in small_suite() {
         let e = enumerate(&f, &target, &Config::default());
-        let row = FunctionRow::new(name, &f, &e);
+        let row = FunctionRecord::from_enumeration(name, &f, &e).to_row();
         if let Some(d) = row.code_diff_percent() {
             spreads.push(d);
         }
