@@ -12,7 +12,7 @@
 //! count (default 400,000); functions exceeding it print `N/A`, matching
 //! the paper's treatment of `fft_float` and `main(f)`.
 
-use phase_order::stats::FunctionRow;
+use phase_order::campaign::store::FunctionRecord;
 
 fn main() {
     let config = bench::harness_config(bench::Args::from_env("table3", &[]).jobs);
@@ -25,21 +25,21 @@ fn main() {
     rows.sort_by_key(|row| std::cmp::Reverse(row.insts));
 
     println!("Table 3: Function-Level Search Space Statistics");
-    println!("{}", FunctionRow::header());
+    println!("{}", FunctionRecord::table3_header());
     let mut complete = 0usize;
     let mut sum_diff = 0.0;
     let mut diffs = 0usize;
     let mut sums = (0u64, 0u64, 0u64, 0u64, 0u64, 0u64); // insts, fninst, attempt, len, cf, leaf
     for row in &rows {
-        println!("{}", row.render());
-        if let Some(instances) = row.fn_instances {
+        println!("{}", row.table3_row());
+        if row.complete {
             complete += 1;
             sums.0 += row.insts as u64;
-            sums.1 += instances as u64;
-            sums.2 += row.attempted_phases.unwrap_or(0);
-            sums.3 += row.max_seq_len.unwrap_or(0) as u64;
-            sums.4 += row.control_flows.unwrap_or(0) as u64;
-            sums.5 += row.leaves.unwrap_or(0) as u64;
+            sums.1 += row.fn_instances;
+            sums.2 += row.attempted_phases;
+            sums.3 += row.max_seq_len as u64;
+            sums.4 += row.control_flows;
+            sums.5 += row.leaves;
         }
         if let Some(d) = row.code_diff_percent() {
             sum_diff += d;

@@ -16,7 +16,6 @@ use phase_order::campaign::{self, CampaignConfig, FunctionTask};
 use phase_order::enumerate::{jobs_per_cpu, Config, Enumeration};
 use phase_order::interaction::InteractionAnalysis;
 use phase_order::prob::{probabilistic_compile, ProbTables};
-use phase_order::stats::FunctionRow;
 use vpo_opt::batch::{batch_compile, BatchStats};
 use vpo_opt::Target;
 use vpo_rtl::Function;
@@ -127,11 +126,11 @@ pub fn harness_config(jobs: usize) -> CampaignConfig {
     CampaignConfig { enumerate, jobs, ..CampaignConfig::default() }
 }
 
-/// Builds Table-3 rows for the whole suite, in suite order.
-pub fn table3_rows(config: &CampaignConfig) -> Vec<FunctionRow> {
+/// Builds the Table-3 record of every suite function, in suite order.
+pub fn table3_rows(config: &CampaignConfig) -> Vec<FunctionRecord> {
     enumerate_suite(config)
         .into_iter()
-        .map(|(sf, e)| FunctionRecord::from_enumeration(sf.display, &sf.function, &e).to_row())
+        .map(|(sf, e)| FunctionRecord::from_enumeration(sf.display, &sf.function, &e))
         .collect()
 }
 

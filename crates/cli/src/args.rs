@@ -75,7 +75,8 @@ pub fn resolve_jobs(jobs: Option<usize>) -> usize {
 }
 
 /// Parses the unified exploration request shared by every exploring
-/// subcommand (`explore`, `verify`, `campaign`, `dot`, `serve`).
+/// subcommand (`explore`, `verify`, `campaign`, `dot`, `audit-quotient`,
+/// `serve`).
 ///
 /// Consumes the remaining argument list entirely: the shared flags
 /// (`--jobs/-j`, `--max-nodes`, `--merge-tier`, `--paranoid`,

@@ -3,9 +3,10 @@
 //! Connects to a `vpoc serve` socket, sends one [`Request`] frame, and
 //! reads [`Response`] frames until a terminal one arrives — cold
 //! queries stream [`Response::Progress`] liveness frames first, which
-//! render as stderr status lines. Memo answers go through the same
-//! typed [`MemoEntry`] view the campaign report uses, so a daemon
-//! answer and a direct `vpoc explore` row read identically.
+//! render as stderr status lines. Memo answers render from the
+//! [`FunctionRecord`] itself, with the same Table-3 row the campaign
+//! report uses, so a daemon answer and a direct `vpoc explore` row read
+//! identically.
 //!
 //! `--timeout MS` bounds the whole exchange: socket reads and writes
 //! get deadlines, and [`Response::Overloaded`] replies are retried with
@@ -16,9 +17,8 @@
 use std::os::unix::net::UnixStream;
 use std::time::{Duration, Instant};
 
-use phase_order::campaign::store::{Completeness, MemoEntry};
+use phase_order::campaign::store::{Completeness, FunctionRecord};
 use phase_order::service::{ProtocolError, Request, Response, Served, PROTOCOL_VERSION};
-use phase_order::stats::FunctionRow;
 use phase_order::wire::{read_frame, write_frame};
 
 use crate::args;
@@ -163,22 +163,21 @@ fn decode(socket: &str, payload: &[u8]) -> Result<Response, String> {
 fn render(response: &Response) -> Result<(), String> {
     match response {
         Response::Memo { record, served } => {
-            let entry = MemoEntry::new(record);
             match served {
                 Served::Warm => println!("warm: answered from the memo store"),
                 Served::Cold { expanded } => {
                     println!("cold: expanded {expanded} parent instance(s) this request")
                 }
             }
-            println!("{}", FunctionRow::header());
-            println!("{}", entry.table3_row().render());
-            match entry.completeness() {
-                Completeness::Complete => {
-                    if let (Some(seq), Some(insts)) = (entry.optimal_ordering(), entry.best_insts())
-                    {
-                        println!("optimal ordering: {seq} ({insts} instructions)");
-                    }
-                }
+            println!("{}", FunctionRecord::table3_header());
+            println!("{}", record.table3_row());
+            match record.completeness() {
+                // A space with no leaves has no optimal ordering to show.
+                Completeness::Complete if record.leaves > 0 => println!(
+                    "optimal ordering: {} ({} instructions)",
+                    record.best_sequence, record.best_insts
+                ),
+                Completeness::Complete => {}
                 Completeness::Truncated { level } => {
                     println!("truncated at level {level} (permanent under the daemon's bounds)")
                 }

@@ -4,11 +4,11 @@
 //! ```text
 //! vpoc compile  <file.mc> [--seq LETTERS | --batch | --naive] [--finalize | --emit-asm]
 //! vpoc run      <file.mc> <function> [args...]        # compile (batch) and execute
-//! vpoc explore  <file.mc> [function] [--jobs N]       # enumerate the space(s)
-//! vpoc verify   <file.mc>|--bench NAME [function]     # differential oracle
+//! vpoc explore  <file.mc>|--bench NAME|--all-benches [function]   # enumerate
+//! vpoc verify   <file.mc>|--bench NAME|--all-benches [function]   # oracle
 //! vpoc campaign <file.mc>|--bench NAME|--all-benches  # resumable multi-function run
-//! vpoc audit-quotient <file.mc>|--bench NAME          # pruned-vs-annotation loss audit
-//! vpoc dot      <file.mc> <function> [--jobs N]       # space as Graphviz
+//! vpoc audit-quotient <file.mc>|--bench NAME|--all-benches   # pruning loss audit
+//! vpoc dot      <file.mc>|--bench NAME [function]     # one space as Graphviz
 //! vpoc phases                                         # list the 15 phases
 //! ```
 //!
@@ -54,12 +54,11 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use phase_order::audit;
-use phase_order::campaign::store::{Completeness, FunctionRecord, MemoEntry};
+use phase_order::campaign::store::{Completeness, FunctionRecord};
 use phase_order::campaign::{self, CampaignConfig, FunctionTask};
 use phase_order::enumerate::{enumerate_tier, Config};
 use phase_order::oracle;
 use phase_order::request::{ExploreRequest, MergeTier, Selector};
-use phase_order::stats::FunctionRow;
 use vpo_opt::batch::batch_compile;
 use vpo_opt::{attempt, PhaseId, Target};
 use vpo_sim::Machine;
@@ -74,11 +73,12 @@ fn main() -> ExitCode {
             eprintln!("usage:");
             eprintln!("  vpoc compile  <file.mc> [--seq LETTERS | --batch]");
             eprintln!("  vpoc run      <file.mc> <function> [int args...]");
-            eprintln!("  vpoc explore  <file.mc> [function] [--jobs N] [--max-nodes N]");
+            eprintln!("  vpoc explore  <file.mc>|--bench NAME|--all-benches [function]");
+            eprintln!("                [--jobs N] [--max-nodes N]");
             eprintln!("                [--merge-tier T] [--paranoid] [--metrics PATH]");
-            eprintln!("  vpoc verify   <file.mc>|--bench NAME [function] [--jobs N]");
-            eprintln!("                [--max-nodes N] [--battery N] [--seed S] [--metrics PATH]");
-            eprintln!("                [--merge-tier T] [--paranoid]");
+            eprintln!("  vpoc verify   <file.mc>|--bench NAME|--all-benches [function]");
+            eprintln!("                [--jobs N] [--max-nodes N] [--battery N] [--seed S]");
+            eprintln!("                [--metrics PATH] [--merge-tier T] [--paranoid]");
             eprintln!("  vpoc campaign <file.mc>|--bench NAME|--all-benches [function]");
             eprintln!("                [--store PATH] [--resume] [--jobs N] [--max-nodes N]");
             eprintln!("                [--max-functions N] [--budget N] [--merge-tier T]");
@@ -89,9 +89,11 @@ fn main() -> ExitCode {
             eprintln!("                [--paranoid]");
             eprintln!("  vpoc query    --socket PATH <function> [--budget N] [--timeout MS]");
             eprintln!("  vpoc query    --socket PATH --list|--telemetry|--shutdown");
-            eprintln!("  vpoc audit-quotient <file.mc>|--bench NAME [function] [--jobs N]");
-            eprintln!("                [--max-nodes N] [--battery N] [--seed S] [--metrics PATH]");
-            eprintln!("  vpoc dot      <file.mc> <function> [--jobs N] [--merge-tier T]");
+            eprintln!("  vpoc audit-quotient <file.mc>|--bench NAME|--all-benches [function]");
+            eprintln!("                [--jobs N] [--max-nodes N] [--battery N] [--seed S]");
+            eprintln!("                [--metrics PATH]");
+            eprintln!("  vpoc dot      <file.mc>|--bench NAME [function] [--jobs N]");
+            eprintln!("                [--merge-tier T]");
             eprintln!("  vpoc phases");
             eprintln!();
             eprintln!("  --jobs N       enumerate/verify with N worker threads (0 = one per");
@@ -105,9 +107,9 @@ fn main() -> ExitCode {
             eprintln!("  --paranoid     double-check every merge: byte-compare fingerprint");
             eprintln!("                 hits, escalate signature hits to an extended battery");
             eprintln!("  --metrics PATH write a telemetry snapshot of the run as JSON");
-            eprintln!("  --budget N     suspend each function's search after N merged parent");
-            eprintln!("                 expansions (checkpointing its frontier for resume);");
-            eprintln!("                 for `query`, the per-request exploration budget");
+            eprintln!("  --budget N     (campaign, serve) suspend each function's search after N");
+            eprintln!("                 merged parent expansions (checkpointing its frontier for");
+            eprintln!("                 resume); for `query`, the per-request exploration budget");
             eprintln!("  --shards N     (serve) hash functions across N store files; cold");
             eprintln!("                 runs on different shards enumerate and flush in");
             eprintln!("                 parallel (1 = the classic single-store layout)");
@@ -158,40 +160,14 @@ fn load_bench(name: &str) -> Result<vpo_rtl::Program, String> {
     b.compile().map_err(|e| format!("{name}: {e}"))
 }
 
-/// Errors out when a `[function]` filter names no function of the
-/// program — a silently empty report would read as success.
-fn require_function(program: &vpo_rtl::Program, name: &str, cmd: &str) -> Result<(), String> {
-    if program.functions.iter().any(|f| f.name == name) {
-        return Ok(());
-    }
-    let names: Vec<&str> = program.functions.iter().map(|f| f.name.as_str()).collect();
-    Err(format!("{cmd}: no function `{name}` (available: {})", names.join(", ")))
-}
-
-/// Resolves a request's selector to the single program the
-/// one-program-at-a-time subcommands (`explore`, `verify`, `dot`) work
-/// on, checking the `[function]` filter names a real function.
-fn resolve_program(request: &ExploreRequest, cmd: &str) -> Result<vpo_rtl::Program, String> {
-    let program = match &request.selector {
-        Selector::File(path) => load(&path.to_string_lossy())?,
-        Selector::Bench(name) => load_bench(name)?,
-        Selector::AllBenches => {
-            return Err(format!("{cmd}: --all-benches only applies to campaign and serve"))
-        }
-    };
-    if let Some(name) = &request.function {
-        require_function(&program, name, cmd)?;
-    }
-    Ok(program)
-}
-
-/// Resolves a request's selector to the campaign/serve task list: the
-/// whole suite, one benchmark, or every function of a file. Suite and
-/// benchmark tasks get benchmark-qualified names so a store can span
-/// programs without clashes; every task carries its program so the
-/// semantic tier can simulate instances. A `[function]` filter matches
-/// a qualified name exactly or any task's bare function name; matching
-/// nothing is an error.
+/// Resolves a request's selector to the task list every exploring
+/// subcommand iterates: the whole suite, one benchmark, or every
+/// function of a file. Suite and benchmark tasks get benchmark-qualified
+/// names so a store can span programs without clashes; every task
+/// carries its program so the simulating tiers and commands can run
+/// instances. A `[function]` filter matches a qualified name exactly or
+/// any task's bare function name; matching nothing is an error, since a
+/// silently empty report would read as success.
 fn resolve_tasks(request: &ExploreRequest, cmd: &str) -> Result<Vec<FunctionTask>, String> {
     let program_tasks = |p: vpo_rtl::Program, qualify: Option<&str>| -> Vec<FunctionTask> {
         let p = Arc::new(p);
@@ -231,13 +207,22 @@ fn resolve_tasks(request: &ExploreRequest, cmd: &str) -> Result<Vec<FunctionTask
     Ok(tasks)
 }
 
-/// Rejects `--shards` outside `serve` — only the daemon fronts a
-/// sharded store layout.
-fn reject_shards(request: &ExploreRequest, cmd: &str) -> Result<(), String> {
+/// Rejects the flags a non-daemon subcommand would silently ignore:
+/// `--shards` (only `serve` fronts a sharded store layout) and, outside
+/// `campaign`, `--budget` (only `campaign` and `serve` suspend searches).
+fn reject_unused_flags(request: &ExploreRequest, cmd: &str) -> Result<(), String> {
     if request.shards != 1 {
         return Err(format!("{cmd}: --shards only applies to serve"));
     }
+    if request.budget.is_some() && cmd != "campaign" {
+        return Err(format!("{cmd}: --budget only applies to campaign and serve"));
+    }
     Ok(())
+}
+
+/// The program a task resolved by [`resolve_tasks`] belongs to.
+fn program_of(task: &FunctionTask) -> &vpo_rtl::Program {
+    task.program.as_deref().expect("resolve_tasks attaches every task's program")
 }
 
 /// Maps a request onto the campaign driver's options (shared by
@@ -367,24 +352,21 @@ fn explore_cmd(argv: &[String]) -> Result<(), String> {
     let mut rest = argv.to_vec();
     let metrics = metrics_begin(&mut rest)?;
     let request = args::explore_request(&mut rest, "explore")?;
-    reject_shards(&request, "explore")?;
-    let program = resolve_program(&request, "explore")?;
+    reject_unused_flags(&request, "explore")?;
+    let tasks = resolve_tasks(&request, "explore")?;
     let target = Target::default();
     let config = &request.config;
-    println!("{}", FunctionRow::header());
-    for f in &program.functions {
-        if let Some(name) = &request.function {
-            if &f.name != name {
-                continue;
-            }
-        }
+    println!("{}", FunctionRecord::table3_header());
+    for task in &tasks {
+        let f = &task.func;
         // The fingerprint-tier Table-3 row is always reported. Under
         // `--merge-tier semantic` one enumeration produces both views —
         // the semantic tier annotates the identical space — and the
         // quotient line follows with both DAG sizes and the collapse
         // factor.
-        let e = enumerate_tier(request.tier, Some(&program), f, &target, config, &request.semantic);
-        println!("{}", FunctionRecord::from_enumeration(f.name.clone(), f, &e).to_row().render());
+        let program = Some(program_of(task));
+        let e = enumerate_tier(request.tier, program, f, &target, config, &request.semantic);
+        println!("{}", FunctionRecord::from_enumeration(f.name.clone(), f, &e).table3_row());
         if request.tier.is_semantic() {
             let (fp_n, sem_n) = (e.space.len(), e.space.sem_class_count());
             let collapse = fp_n as f64 / sem_n.max(1) as f64;
@@ -409,20 +391,16 @@ fn verify_cmd(argv: &[String]) -> Result<(), String> {
     let mut rest = argv.to_vec();
     let metrics = metrics_begin(&mut rest)?;
     let request = args::explore_request(&mut rest, "verify")?;
-    reject_shards(&request, "verify")?;
-    let program = resolve_program(&request, "verify")?;
+    reject_unused_flags(&request, "verify")?;
+    let tasks = resolve_tasks(&request, "verify")?;
 
     let target = Target::default();
     let mut findings = 0usize;
-    for f in &program.functions {
-        if let Some(name) = &request.function {
-            if &f.name != name {
-                continue;
-            }
-        }
+    for task in &tasks {
+        let (program, f) = (program_of(task), &task.func);
         let e = enumerate_tier(
             request.tier,
-            Some(&program),
+            Some(program),
             f,
             &target,
             &request.config,
@@ -432,7 +410,7 @@ fn verify_cmd(argv: &[String]) -> Result<(), String> {
         // semantic merge is re-validated on the evidence it was
         // accepted on.
         let report =
-            oracle::verify(&program, f, &e, &target, &request.semantic, request.config.jobs);
+            oracle::verify(program, f, &e, &target, &request.semantic, request.config.jobs);
         let tag = if e.outcome.is_complete() { "" } else { " [space truncated]" };
         println!("{}{tag}", report.summary());
         for finding in &report.findings {
@@ -487,20 +465,20 @@ impl campaign::Observer for Progress {
 }
 
 impl Progress {
-    /// Completion/suspension line, rendered through the typed memo view
-    /// so the CLI and the daemon describe records identically.
+    /// Completion/suspension line, rendered from the record's
+    /// [`Completeness`] so the CLI and the daemon describe records
+    /// identically.
     fn report(&self, index: usize, total: usize, record: &FunctionRecord) {
         if self.live {
             eprint!("\r{:<78}\r", "");
         }
-        let entry = MemoEntry::new(record);
-        let status = match entry.completeness() {
+        let status = match record.completeness() {
             Completeness::Complete => {
                 format!("{} instances, {} leaves", record.fn_instances, record.leaves)
             }
             state => state.to_string(),
         };
-        eprintln!("[{}/{total}] {}: {status}", index + 1, entry.name());
+        eprintln!("[{}/{total}] {}: {status}", index + 1, record.name);
     }
 }
 
@@ -511,7 +489,7 @@ fn campaign_cmd(argv: &[String]) -> Result<(), String> {
     let resume = args::switch(&mut rest, "--resume");
     let metrics = metrics_begin(&mut rest)?;
     let request = args::explore_request(&mut rest, "campaign")?;
-    reject_shards(&request, "campaign")?;
+    reject_unused_flags(&request, "campaign")?;
     let tasks = resolve_tasks(&request, "campaign")?;
 
     let mut config = campaign_config(&request);
@@ -525,20 +503,19 @@ fn campaign_cmd(argv: &[String]) -> Result<(), String> {
             .map_err(|e| format!("campaign: {e}"))?;
 
     // The aggregate Table-3 report over everything in the store.
-    println!("{}", FunctionRow::header());
+    println!("{}", FunctionRecord::table3_header());
     let mut complete = 0usize;
     let mut instances = 0u64;
     let mut attempted = 0u64;
     let mut diffs: Vec<f64> = Vec::new();
     for rec in &summary.records {
-        let row = rec.to_row();
-        println!("{}", row.render());
+        println!("{}", rec.table3_row());
         if rec.complete {
             complete += 1;
             instances += rec.fn_instances;
             attempted += rec.attempted_phases;
         }
-        if let Some(d) = row.code_diff_percent() {
+        if let Some(d) = rec.code_diff_percent() {
             diffs.push(d);
         }
     }
@@ -579,15 +556,17 @@ fn campaign_cmd(argv: &[String]) -> Result<(), String> {
 fn dot_cmd(argv: &[String]) -> Result<(), String> {
     let mut rest = argv.to_vec();
     let request = args::explore_request(&mut rest, "dot")?;
-    reject_shards(&request, "dot")?;
-    let func = request.function.clone().ok_or("dot: missing function name")?;
-    let program = resolve_program(&request, "dot")?;
-    let f = program.function(&func).expect("checked above");
+    reject_unused_flags(&request, "dot")?;
+    let tasks = resolve_tasks(&request, "dot")?;
+    let [task] = &tasks[..] else {
+        let names: Vec<&str> = tasks.iter().map(|t| t.name.as_str()).collect();
+        return Err(format!("dot: name one function (matching: {})", names.join(", ")));
+    };
     let target = Target::default();
     let e = enumerate_tier(
         request.tier,
-        Some(&program),
-        f,
+        Some(program_of(task)),
+        &task.func,
         &target,
         &request.config,
         &request.semantic,
@@ -600,8 +579,8 @@ fn audit_quotient_cmd(argv: &[String]) -> Result<(), String> {
     let mut rest = argv.to_vec();
     let metrics = metrics_begin(&mut rest)?;
     let request = args::explore_request(&mut rest, "audit-quotient")?;
-    reject_shards(&request, "audit-quotient")?;
-    let program = resolve_program(&request, "audit-quotient")?;
+    reject_unused_flags(&request, "audit-quotient")?;
+    let tasks = resolve_tasks(&request, "audit-quotient")?;
     let target = Target::default();
 
     println!(
@@ -618,14 +597,9 @@ fn audit_quotient_cmd(argv: &[String]) -> Result<(), String> {
         "d_drft",
     );
     let mut unsound = 0usize;
-    let mut audited = 0usize;
-    for f in &program.functions {
-        if let Some(name) = &request.function {
-            if &f.name != name {
-                continue;
-            }
-        }
-        let a = audit::audit_function(&program, f, &target, &request.config, &request.semantic);
+    for task in &tasks {
+        let (program, f) = (program_of(task), &task.func);
+        let a = audit::audit_function(program, f, &target, &request.config, &request.semantic);
         // An annotation tier truncated by --max-nodes where the pruned
         // tier completes is the mode paying off, not a soundness signal;
         // the row says so instead of faking drift numbers.
@@ -641,7 +615,6 @@ fn audit_quotient_cmd(argv: &[String]) -> Result<(), String> {
         } else {
             "sound"
         };
-        audited += 1;
         println!(
             "{:<16} {:>7} {:>7} {:>6} {:>6} {:>6} {:>6} {:>5} {:>6} {:>6}  {verdict}",
             a.name,
@@ -656,11 +629,8 @@ fn audit_quotient_cmd(argv: &[String]) -> Result<(), String> {
             if a.comparable() { a.dynamic_drift().to_string() } else { "-".into() },
         );
     }
-    if audited == 0 {
-        return Err(match &request.function {
-            Some(name) => format!("audit-quotient: no function named `{name}`"),
-            None => "audit-quotient: no functions to audit".into(),
-        });
+    if tasks.is_empty() {
+        return Err("audit-quotient: no functions to audit".into());
     }
     metrics_end(metrics.as_deref())?;
     if unsound > 0 {
@@ -741,11 +711,40 @@ mod tests {
         let file = dir.join("t.mc");
         std::fs::write(&file, "int triple(int x) { return x * 3; }").unwrap();
         let path = file.to_str().unwrap().to_owned();
-        for cmd in ["explore", "verify", "campaign", "dot"] {
+        for cmd in ["explore", "verify", "campaign", "dot", "audit-quotient"] {
             let err = run(&[cmd.into(), path.clone(), "nonesuch".into()]).unwrap_err();
             assert!(err.contains("no function `nonesuch`"), "{cmd}: {err}");
             assert!(err.contains("triple"), "{cmd} must list available functions: {err}");
         }
+    }
+
+    #[test]
+    fn budget_only_applies_to_campaign_and_serve() {
+        let dir = std::env::temp_dir().join("vpoc_test_budget");
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("t.mc");
+        std::fs::write(&file, "int triple(int x) { return x * 3; }").unwrap();
+        let path = file.to_str().unwrap().to_owned();
+        for cmd in ["explore", "verify", "dot", "audit-quotient"] {
+            let err =
+                run(&[cmd.into(), path.clone(), "triple".into(), "--budget".into(), "1".into()])
+                    .unwrap_err();
+            assert!(err.contains("--budget only applies to campaign and serve"), "{cmd}: {err}");
+        }
+        run(&["campaign".into(), path, "--budget=1".into()]).unwrap();
+    }
+
+    #[test]
+    fn dot_needs_exactly_one_function() {
+        let dir = std::env::temp_dir().join("vpoc_test_dot");
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("two.mc");
+        std::fs::write(&file, "int one(int x) { return x; }\nint two(int x) { return x + x; }")
+            .unwrap();
+        let path = file.to_str().unwrap().to_owned();
+        let err = run(&["dot".into(), path.clone()]).unwrap_err();
+        assert!(err.contains("one, two"), "{err}");
+        run(&["dot".into(), path, "two".into()]).unwrap();
     }
 
     #[test]

@@ -40,7 +40,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-use phase_order::campaign::store::{self, FunctionRecord, MemoEntry, ResultStore};
+use phase_order::campaign::store::{self, FunctionRecord, ResultStore};
 use phase_order::campaign::{self, CampaignConfig, FunctionTask, Observer};
 use phase_order::service::{ListEntry, Request, Response, Served};
 use phase_order::telemetry;
@@ -435,7 +435,7 @@ fn respond(d: &Daemon, req: Request, stream: &UnixStream) -> Response {
                 .enumerate()
                 .map(|(i, t)| ListEntry {
                     name: t.name.clone(),
-                    state: d.record(i).map(|r| MemoEntry::new(&r).completeness()),
+                    state: d.record(i).map(|r| r.completeness()),
                 })
                 .collect(),
         },
@@ -460,7 +460,7 @@ fn query(d: &Daemon, function: &str, budget: Option<u64>, stream: &UnixStream) -
     // immediately — one read lock on this function's own slot, which
     // no cold run of another function ever holds.
     if let Some(rec) = d.record(i) {
-        if !MemoEntry::new(&rec).is_resumable() {
+        if !rec.is_resumable() {
             tm.serve_warm_hits.inc();
             return Response::Memo { record: Box::new((*rec).clone()), served: Served::Warm };
         }
@@ -548,7 +548,7 @@ fn run_cold(d: &Daemon, i: usize, budget: Option<u64>, stream: &UnixStream) -> R
     // the completed runner may find the answer already terminal.
     let prior = d.record(i);
     if let Some(rec) = &prior {
-        if !MemoEntry::new(rec).is_resumable() {
+        if !rec.is_resumable() {
             tm.serve_warm_hits.inc();
             return Response::Memo { record: Box::new((**rec).clone()), served: Served::Warm };
         }

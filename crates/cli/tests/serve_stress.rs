@@ -21,7 +21,7 @@ use std::process::{Child, Command, Stdio};
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
-use phase_order::campaign::store::{shard_of, shard_path, MemoEntry, ResultStore};
+use phase_order::campaign::store::{shard_of, shard_path, ResultStore};
 use phase_order::service::{Request, Response, Served};
 use phase_order::wire::{read_frame, write_frame};
 
@@ -111,7 +111,7 @@ fn counter(json: &str, name: &str) -> u64 {
 /// frontier left).
 fn is_done(resp: &Response) -> bool {
     match resp {
-        Response::Memo { record, .. } => !MemoEntry::new(record).is_resumable(),
+        Response::Memo { record, .. } => !record.is_resumable(),
         other => panic!("query returned {other:?}"),
     }
 }

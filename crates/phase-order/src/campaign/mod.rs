@@ -51,7 +51,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use vpo_opt::{PhaseId, Target};
+use vpo_opt::Target;
 use vpo_rtl::canon::{self, Fingerprint};
 use vpo_rtl::{FuncFlags, Function, Program};
 
@@ -61,7 +61,7 @@ use crate::enumerate::{
 };
 use crate::semantic::{SemanticConfig, SemanticContext};
 use crate::space::{NodeId, SearchSpace};
-use store::{FrontierState, FunctionRecord, PersistedNode, ResultStore, StoreError};
+use store::{FrontierState, FunctionRecord, ResultStore, StoreError};
 
 /// One unit of the campaign's task list: a function to explore, under a
 /// campaign-unique qualified name (e.g. `sha::sha_transform`) that also
@@ -278,9 +278,10 @@ struct Job {
     level: u32,
     /// Frontier index of the first claimed parent.
     first: usize,
-    /// The claimed parents in frontier order: instance, discovery
-    /// sequence (naive replay only) and the phase not to re-attempt.
-    parents: Vec<(Arc<Function>, Vec<PhaseId>, Option<PhaseId>)>,
+    /// The claimed parents in frontier order. Their discovery edges
+    /// (the phase not to re-attempt, the sequence naive replay rebuilds
+    /// them from) are read off `space`.
+    parents: Vec<(NodeId, Arc<Function>)>,
     space: Arc<SearchSpace>,
 }
 
@@ -299,13 +300,6 @@ struct DriverState<'a> {
     expanded: u64,
     halt: bool,
     failure: Option<CampaignError>,
-}
-
-/// Whether a record is a suspended checkpoint a later run can deepen
-/// (as opposed to a terminal record: complete, or permanently truncated
-/// by a bound).
-fn is_resumable(rec: &FunctionRecord) -> bool {
-    !rec.complete && rec.frontier.is_some()
 }
 
 struct Ctx<'a> {
@@ -376,7 +370,7 @@ pub fn run(
                         // function: it stays in `completed` as the
                         // restore source, but the task will be
                         // activated (and deepened) again.
-                        if !is_resumable(&rec) {
+                        if !rec.is_resumable() {
                             resumed += 1;
                         }
                         completed[i] = Some(rec);
@@ -424,7 +418,7 @@ pub fn explore_function(
         if rec.name != task.name {
             return Err(CampaignError::UnknownRecord(rec.name.clone()));
         }
-        if !is_resumable(rec) {
+        if !rec.is_resumable() {
             return Ok(RequestOutcome { record: prior, expanded: 0 });
         }
     }
@@ -572,7 +566,7 @@ fn worker(ctx: &Ctx<'_>) {
                 // Skip tasks the store already answers; a suspended
                 // checkpoint is *not* an answer — it gets restored.
                 while st.next_pending < ctx.tasks.len()
-                    && st.completed[st.next_pending].as_ref().is_some_and(|r| !is_resumable(r))
+                    && st.completed[st.next_pending].as_ref().is_some_and(|r| !r.is_resumable())
                 {
                     st.next_pending += 1;
                 }
@@ -592,17 +586,27 @@ fn worker(ctx: &Ctx<'_>) {
             seen.clear();
             seen_level = Some((job.task, job.level));
         }
+        let config = &ctx.config.enumerate;
         let records = job
             .parents
             .iter()
-            .map(|(func, seq, skip)| {
+            .map(|(id, func)| {
+                let skip = if config.skip_just_applied {
+                    job.space.node(*id).discovered_from.map(|(_, p)| p)
+                } else {
+                    None
+                };
+                let seq = match config.replay {
+                    ReplayMode::NaiveReplay => job.space.discovery_sequence(*id),
+                    ReplayMode::PrefixSharing => Vec::new(),
+                };
                 expand_parent(
                     ctx.tasks[job.task].func,
                     ctx.target,
-                    &ctx.config.enumerate,
+                    config,
                     func,
-                    seq,
-                    *skip,
+                    &seq,
+                    skip,
                     // The merge decides insertion against the real space;
                     // this only decides whether the candidate's body is
                     // carried.
@@ -635,7 +639,6 @@ fn worker(ctx: &Ctx<'_>) {
 /// and only one body per new instance travels to the barrier, while
 /// several claims per worker still balance uneven parents.
 fn claim(ctx: &Ctx<'_>, st: &mut DriverState<'_>) -> Option<Job> {
-    let config = &ctx.config.enumerate;
     let tm = crate::telemetry::global();
     let workers = ctx.config.jobs.max(1);
     for (rank, s) in st.active.iter_mut().enumerate() {
@@ -655,14 +658,7 @@ fn claim(ctx: &Ctx<'_>, st: &mut DriverState<'_>) -> Option<Job> {
             }
             let parents = s.frontier[first..first + n]
                 .iter()
-                .map(|entry| {
-                    let skip = if config.skip_just_applied {
-                        s.space.node(entry.id).discovered_from.map(|(_, p)| p)
-                    } else {
-                        None
-                    };
-                    (Arc::clone(&entry.func), entry.seq.clone(), skip)
-                })
+                .map(|entry| (entry.id, Arc::clone(&entry.func)))
                 .collect();
             return Some(Job {
                 task: s.task,
@@ -682,7 +678,7 @@ fn claim(ctx: &Ctx<'_>, st: &mut DriverState<'_>) -> Option<Job> {
 fn activate<'a>(ctx: &Ctx<'a>, st: &mut DriverState<'a>) {
     let task = st.next_pending;
     st.next_pending += 1;
-    let search = match st.completed[task].as_ref().filter(|r| is_resumable(r)) {
+    let search = match st.completed[task].as_ref().filter(|r| r.is_resumable()) {
         Some(rec) => {
             st.deepened += 1;
             crate::telemetry::global().campaign_functions_deepened.inc();
@@ -710,7 +706,7 @@ fn fresh_search<'a>(ctx: &Ctx<'a>, task: usize) -> Search<'a> {
         sem.register(sig, root_id, &root_func);
         sem
     });
-    let frontier = vec![FrontierEntry { id: root_id, func: root_func, seq: Vec::new() }];
+    let frontier = vec![FrontierEntry { id: root_id, func: root_func }];
     Search {
         task,
         space: Arc::new(space),
@@ -745,8 +741,8 @@ fn restore_search<'a>(ctx: &Ctx<'a>, task: usize, rec: &FunctionRecord) -> Searc
     let config = &ctx.config.enumerate;
     let root = ctx.tasks[task].func;
     let mut space = SearchSpace::new();
-    for pn in &fs.nodes {
-        space.insert(pn.to_node());
+    for node in &fs.nodes {
+        space.insert(node.clone());
     }
     let remat = |id: NodeId| rematerialize(root, ctx.target, &space, id);
     let mut paranoid_bytes = HashMap::new();
@@ -768,15 +764,10 @@ fn restore_search<'a>(ctx: &Ctx<'a>, task: usize, rec: &FunctionRecord) -> Searc
         }
         sem
     });
-    let naive = config.replay == ReplayMode::NaiveReplay;
     let frontier: Vec<FrontierEntry> = fs
         .frontier
         .iter()
-        .map(|&id| {
-            let id = NodeId(id);
-            let seq = if naive { space.discovery_sequence(id) } else { Vec::new() };
-            FrontierEntry { id, func: Arc::new(remat(id)), seq }
-        })
+        .map(|&id| FrontierEntry { id: NodeId(id), func: Arc::new(remat(NodeId(id))) })
         .collect();
     let stats = SearchStats {
         attempted_phases: rec.attempted_phases,
@@ -942,7 +933,7 @@ fn suspend(ctx: &Ctx<'_>, st: &mut DriverState<'_>, pos: usize, frontier_ids: Ve
     let task = s.task;
     let fs = FrontierState {
         level: s.level,
-        nodes: s.space.iter().map(|(_, n)| PersistedNode::of(n)).collect(),
+        nodes: s.space.iter().map(|(_, n)| n.clone()).collect(),
         frontier: frontier_ids,
     };
     // Weights stay uncomputed: they are only defined on a finished
@@ -1010,7 +1001,6 @@ fn flush_store(ctx: &Ctx<'_>, st: &mut DriverState<'_>) -> bool {
 
 #[cfg(test)]
 mod tests {
-    use super::store::MemoEntry;
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -1280,7 +1270,7 @@ mod tests {
             deepened += s.deepened;
             sessions += 1;
             assert!(sessions < 200, "budgeted sessions must converge");
-            if s.records.iter().all(|r| !MemoEntry::new(r).is_resumable()) {
+            if s.records.iter().all(|r| !r.is_resumable()) {
                 break;
             }
             assert!(s.suspended > 0, "an unfinished budgeted session suspends something");
@@ -1346,14 +1336,14 @@ mod tests {
         let out = explore_function(task.clone(), &target, &config, None, &NullObserver).unwrap();
         let first = out.record.clone().unwrap();
         assert!(out.expanded > 0);
-        assert!(MemoEntry::new(&first).is_resumable(), "budget 1 cannot finish this space");
+        assert!(first.is_resumable(), "budget 1 cannot finish this space");
         assert!(first.fn_instances < want.fn_instances);
 
         // Repeated queries strictly deepen until the record completes.
         let mut rec = first;
         let mut total = out.expanded;
         let mut rounds = 0;
-        while MemoEntry::new(&rec).is_resumable() {
+        while rec.is_resumable() {
             let out =
                 explore_function(task.clone(), &target, &config, Some(rec), &NullObserver).unwrap();
             assert!(out.expanded > 0, "a partial query must make progress");
@@ -1397,7 +1387,7 @@ mod tests {
         assert_eq!(s.suspended, obs.0.load(Ordering::Relaxed));
         assert!(s.suspended > 0);
         // Without a store, the summary still carries the checkpoints.
-        assert!(s.records.iter().any(|r| MemoEntry::new(r).is_resumable()));
+        assert!(s.records.iter().any(|r| r.is_resumable()));
     }
 
     fn semantic_tasks() -> Vec<FunctionTask> {
@@ -1464,7 +1454,7 @@ mod tests {
                     run(semantic_tasks(), &target, Some(&path), &config, &NullObserver).unwrap();
                 sessions += 1;
                 assert!(sessions < 200, "budgeted pruned sessions must converge");
-                if s.records.iter().all(|r| !MemoEntry::new(r).is_resumable()) {
+                if s.records.iter().all(|r| !r.is_resumable()) {
                     break;
                 }
             }

@@ -41,7 +41,6 @@ use vpo_rtl::{FuncFlags, Function};
 use crate::enumerate::{sequence_letters, Config, Enumeration, ReplayMode};
 use crate::semantic::SemanticConfig;
 use crate::space::{Node, NodeId};
-use crate::stats::FunctionRow;
 use crate::wire::{self, Reader, WireError};
 
 /// File magic: the first four bytes of every store.
@@ -176,156 +175,93 @@ impl ConfigEcho {
     }
 }
 
-/// One node of a checkpointed partial search space.
-///
-/// This is [`Node`] minus its `weight`: weights are only computed once
-/// an enumeration completes, so mid-search every weight is zero and
-/// persisting it would be noise. Re-inserting persisted nodes in id
-/// order rebuilds the space bit-identically (ids are assigned
-/// sequentially by [`crate::space::SearchSpace::insert`]).
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct PersistedNode {
-    /// Canonical fingerprint of the instance.
-    pub fp: Fingerprint,
-    /// Phase-legality milestone flags.
-    pub flags: FuncFlags,
-    /// Discovery level.
-    pub level: u32,
-    /// Static instruction count.
-    pub inst_count: u32,
-    /// Control-flow shape signature.
-    pub cf_sig: u64,
-    /// Active-phase mask.
-    pub active_mask: u16,
-    /// Fingerprint edges `(phase, child id)`.
-    pub children: Vec<(PhaseId, u32)>,
-    /// Semantic-merge edges `(phase, representative id)`.
-    pub sem_children: Vec<(PhaseId, u32)>,
-    /// Subsumption-pruned edges `(phase, representative id)` — absent in
-    /// pre-v4 stores, which no pruned-tier build could have written.
-    pub pruned_children: Vec<(PhaseId, u32)>,
-    /// Discovery edge `(parent id, phase)`; `None` for the root.
-    pub discovered_from: Option<(u32, PhaseId)>,
-    /// Whether this node was pruned by subsumption (never expanded).
-    pub pruned: bool,
+/// Persists one node of a checkpointed partial search space, without its
+/// `weight`: weights are only computed once an enumeration completes,
+/// so mid-search every weight is zero and persisting it would be noise.
+/// Re-inserting decoded nodes in id order rebuilds the space
+/// bit-identically (ids are assigned sequentially by
+/// [`crate::space::SearchSpace::insert`]).
+fn encode_node(n: &Node, out: &mut Vec<u8>) {
+    wire::put_u32(out, n.fp.inst_count);
+    wire::put_u64(out, n.fp.byte_sum);
+    wire::put_u32(out, n.fp.crc);
+    out.push(n.flags.regs_assigned as u8 | (n.flags.reg_allocated as u8) << 1);
+    wire::put_u32(out, n.level);
+    wire::put_u32(out, n.inst_count);
+    wire::put_u64(out, n.cf_sig);
+    wire::put_u16(out, n.active_mask);
+    for edges in [&n.children, &n.sem_children, &n.pruned_children] {
+        out.push(edges.len() as u8);
+        for &(p, c) in edges {
+            out.push(p.index() as u8);
+            wire::put_u32(out, c.0);
+        }
+    }
+    match n.discovered_from {
+        Some((parent, phase)) => {
+            out.push(1);
+            wire::put_u32(out, parent.0);
+            out.push(phase.index() as u8);
+        }
+        None => out.push(0),
+    }
+    out.push(n.pruned as u8);
 }
 
-impl PersistedNode {
-    /// Projects a live node for persistence.
-    pub fn of(node: &Node) -> PersistedNode {
-        PersistedNode {
-            fp: node.fp,
-            flags: node.flags,
-            level: node.level,
-            inst_count: node.inst_count,
-            cf_sig: node.cf_sig,
-            active_mask: node.active_mask,
-            children: node.children.iter().map(|&(p, c)| (p, c.0)).collect(),
-            sem_children: node.sem_children.iter().map(|&(p, c)| (p, c.0)).collect(),
-            pruned_children: node.pruned_children.iter().map(|&(p, c)| (p, c.0)).collect(),
-            discovered_from: node.discovered_from.map(|(p, ph)| (p.0, ph)),
-            pruned: node.pruned,
+/// Reads a node written by [`encode_node`] (or by a pre-v4 build), with
+/// weight zero, as mid-search.
+fn decode_node(r: &mut Reader<'_>, version: u32) -> Result<Node, StoreError> {
+    fn phase(b: u8) -> Result<PhaseId, StoreError> {
+        if (b as usize) < PhaseId::COUNT {
+            Ok(PhaseId::from_index(b as usize))
+        } else {
+            Err(StoreError::Corrupt(format!("phase index {b} out of range")))
         }
     }
-
-    /// Rebuilds the live node (weight zero, as mid-search).
-    pub fn to_node(&self) -> Node {
-        Node {
-            fp: self.fp,
-            flags: self.flags,
-            level: self.level,
-            inst_count: self.inst_count,
-            cf_sig: self.cf_sig,
-            active_mask: self.active_mask,
-            children: self.children.iter().map(|&(p, c)| (p, NodeId(c))).collect(),
-            sem_children: self.sem_children.iter().map(|&(p, c)| (p, NodeId(c))).collect(),
-            pruned_children: self.pruned_children.iter().map(|&(p, c)| (p, NodeId(c))).collect(),
-            discovered_from: self.discovered_from.map(|(p, ph)| (NodeId(p), ph)),
-            pruned: self.pruned,
-            weight: 0,
+    let fp = Fingerprint { inst_count: r.u32()?, byte_sum: r.u64()?, crc: r.u32()? };
+    let flag_bits = r.u8()?;
+    if flag_bits > 3 {
+        return Err(StoreError::Corrupt(format!("invalid flag bits {flag_bits:#04x}")));
+    }
+    let flags = FuncFlags { regs_assigned: flag_bits & 1 != 0, reg_allocated: flag_bits & 2 != 0 };
+    let level = r.u32()?;
+    let inst_count = r.u32()?;
+    let cf_sig = r.u64()?;
+    let active_mask = r.u16()?;
+    // Pre-v4 nodes carry two edge lists; v4 added pruned edges.
+    let lists = if version >= 4 { 3 } else { 2 };
+    let mut edge_lists = [Vec::new(), Vec::new(), Vec::new()];
+    for edges in edge_lists.iter_mut().take(lists) {
+        let n = r.u8()? as usize;
+        for _ in 0..n {
+            let p = phase(r.u8()?)?;
+            edges.push((p, NodeId(r.u32()?)));
         }
     }
-
-    fn encode(&self, out: &mut Vec<u8>) {
-        wire::put_u32(out, self.fp.inst_count);
-        wire::put_u64(out, self.fp.byte_sum);
-        wire::put_u32(out, self.fp.crc);
-        out.push(self.flags.regs_assigned as u8 | (self.flags.reg_allocated as u8) << 1);
-        wire::put_u32(out, self.level);
-        wire::put_u32(out, self.inst_count);
-        wire::put_u64(out, self.cf_sig);
-        wire::put_u16(out, self.active_mask);
-        for edges in [&self.children, &self.sem_children, &self.pruned_children] {
-            out.push(edges.len() as u8);
-            for &(p, c) in edges {
-                out.push(p.index() as u8);
-                wire::put_u32(out, c);
-            }
+    let [children, sem_children, pruned_children] = edge_lists;
+    let discovered_from = match r.bool()? {
+        true => {
+            let parent = NodeId(r.u32()?);
+            Some((parent, phase(r.u8()?)?))
         }
-        match self.discovered_from {
-            Some((parent, phase)) => {
-                out.push(1);
-                wire::put_u32(out, parent);
-                out.push(phase.index() as u8);
-            }
-            None => out.push(0),
-        }
-        out.push(self.pruned as u8);
-    }
-
-    fn decode(r: &mut Reader<'_>, version: u32) -> Result<PersistedNode, StoreError> {
-        fn phase(b: u8) -> Result<PhaseId, StoreError> {
-            if (b as usize) < PhaseId::COUNT {
-                Ok(PhaseId::from_index(b as usize))
-            } else {
-                Err(StoreError::Corrupt(format!("phase index {b} out of range")))
-            }
-        }
-        let fp = Fingerprint { inst_count: r.u32()?, byte_sum: r.u64()?, crc: r.u32()? };
-        let flag_bits = r.u8()?;
-        if flag_bits > 3 {
-            return Err(StoreError::Corrupt(format!("invalid flag bits {flag_bits:#04x}")));
-        }
-        let flags =
-            FuncFlags { regs_assigned: flag_bits & 1 != 0, reg_allocated: flag_bits & 2 != 0 };
-        let level = r.u32()?;
-        let inst_count = r.u32()?;
-        let cf_sig = r.u64()?;
-        let active_mask = r.u16()?;
-        // Pre-v4 nodes carry two edge lists; v4 added pruned edges.
-        let lists = if version >= 4 { 3 } else { 2 };
-        let mut edge_lists = [Vec::new(), Vec::new(), Vec::new()];
-        for edges in edge_lists.iter_mut().take(lists) {
-            let n = r.u8()? as usize;
-            for _ in 0..n {
-                let p = phase(r.u8()?)?;
-                edges.push((p, r.u32()?));
-            }
-        }
-        let [children, sem_children, pruned_children] = edge_lists;
-        let discovered_from = match r.bool()? {
-            true => {
-                let parent = r.u32()?;
-                Some((parent, phase(r.u8()?)?))
-            }
-            false => None,
-        };
-        // No pre-v4 build pruned, so `false` is the faithful default.
-        let pruned = if version >= 4 { r.bool()? } else { false };
-        Ok(PersistedNode {
-            fp,
-            flags,
-            level,
-            inst_count,
-            cf_sig,
-            active_mask,
-            children,
-            sem_children,
-            pruned_children,
-            discovered_from,
-            pruned,
-        })
-    }
+        false => None,
+    };
+    // No pre-v4 build pruned, so `false` is the faithful default.
+    let pruned = if version >= 4 { r.bool()? } else { false };
+    Ok(Node {
+        fp,
+        flags,
+        level,
+        inst_count,
+        cf_sig,
+        active_mask,
+        children,
+        sem_children,
+        pruned_children,
+        pruned,
+        discovered_from,
+        weight: 0,
+    })
 }
 
 /// Checkpoint of an incomplete enumeration, taken at a level boundary.
@@ -343,8 +279,8 @@ pub struct FrontierState {
     /// Levels fully merged so far; the frontier instances sit at this
     /// level and their expansions will merge at `level + 1`.
     pub level: u32,
-    /// Every node of the partial space, in id order.
-    pub nodes: Vec<PersistedNode>,
+    /// Every node of the partial space, in id order (weights zero).
+    pub nodes: Vec<Node>,
     /// Ids of the instances awaiting expansion.
     pub frontier: Vec<u32>,
 }
@@ -354,7 +290,7 @@ impl FrontierState {
         wire::put_u32(out, self.level);
         wire::put_u32(out, self.nodes.len() as u32);
         for n in &self.nodes {
-            n.encode(out);
+            encode_node(n, out);
         }
         wire::put_u32(out, self.frontier.len() as u32);
         for &id in &self.frontier {
@@ -367,7 +303,7 @@ impl FrontierState {
         let count = r.u32()? as usize;
         let mut nodes = Vec::with_capacity(count.min(1024));
         for _ in 0..count {
-            nodes.push(PersistedNode::decode(r, version)?);
+            nodes.push(decode_node(r, version)?);
         }
         let flen = r.u32()? as usize;
         let mut frontier = Vec::with_capacity(flen.min(1024));
@@ -392,8 +328,8 @@ impl FrontierState {
 /// activity counts and the code-size-optimal sequence.
 ///
 /// Statistics fields hold the values measured over the (possibly
-/// partial) space; [`FunctionRecord::to_row`] maps them to the paper's
-/// `N/A` convention when `complete` is false. An incomplete record
+/// partial) space; [`FunctionRecord::table3_row`] maps them to the
+/// paper's `N/A` convention when `complete` is false. An incomplete record
 /// either carries a [`FrontierState`] (suspended under a budget —
 /// resumable) or does not (truncated by `max_nodes`/`max_level_width` —
 /// permanent under these bounds).
@@ -506,25 +442,80 @@ impl FunctionRecord {
         }
     }
 
-    /// Renders the record as a Table-3 row, mapping truncated searches to
-    /// the paper's `N/A` columns exactly as live enumeration does.
-    pub fn to_row(&self) -> FunctionRow {
-        let c = self.complete;
-        let has_leaves = self.leaves > 0;
-        FunctionRow {
-            name: self.name.clone(),
-            insts: self.insts as usize,
-            blocks: self.blocks as usize,
-            branches: self.branches as usize,
-            loops: self.loops as usize,
-            fn_instances: c.then_some(self.fn_instances as usize),
-            attempted_phases: c.then_some(self.attempted_phases),
-            max_seq_len: c.then_some(self.max_seq_len),
-            control_flows: c.then_some(self.control_flows as usize),
-            leaves: c.then_some(self.leaves as usize),
-            code_max: (c && has_leaves).then_some(self.code_max),
-            code_min: (c && has_leaves).then_some(self.code_min),
+    /// The header of the paper's Table 3, matching
+    /// [`FunctionRecord::table3_row`].
+    pub fn table3_header() -> String {
+        table3_line([
+            "Function",
+            "Insts",
+            "Blk",
+            "Brch",
+            "Loop",
+            "FnInst",
+            "AttemptPh",
+            "Len",
+            "CF",
+            "Leaf",
+            "Max",
+            "Min",
+            "%Diff",
+        ])
+    }
+
+    /// Renders the record as a row of the paper's Table 3. An incomplete
+    /// search shows `N/A` for every space statistic, as the paper does
+    /// for spaces too big to enumerate; the code-size columns are also
+    /// `N/A` when the space has no leaves.
+    pub fn table3_row(&self) -> String {
+        fn na(shown: bool, v: impl fmt::Display) -> String {
+            if shown {
+                v.to_string()
+            } else {
+                "N/A".into()
+            }
         }
+        let (c, sized) = (self.complete, self.complete && self.leaves > 0);
+        table3_line([
+            &self.name,
+            &self.insts.to_string(),
+            &self.blocks.to_string(),
+            &self.branches.to_string(),
+            &self.loops.to_string(),
+            &na(c, self.fn_instances),
+            &na(c, self.attempted_phases),
+            &na(c, self.max_seq_len),
+            &na(c, self.control_flows),
+            &na(c, self.leaves),
+            &na(sized, self.code_max),
+            &na(sized, self.code_min),
+            &self.code_diff_percent().map_or_else(|| "N/A".into(), |d| format!("{d:.1}")),
+        ])
+    }
+
+    /// Percentage code-size difference between the worst and best leaf
+    /// (Table 3's `% Diff`: "the maximum difference in code size that is
+    /// possible due to different phase orderings"); `None` where the row
+    /// shows `N/A`.
+    pub fn code_diff_percent(&self) -> Option<f64> {
+        (self.complete && self.leaves > 0 && self.code_min > 0)
+            .then(|| (self.code_max - self.code_min) as f64 * 100.0 / self.code_min as f64)
+    }
+
+    /// Whether the record is complete, permanently truncated, or
+    /// suspended at a persisted frontier.
+    pub fn completeness(&self) -> Completeness {
+        match &self.frontier {
+            _ if self.complete => Completeness::Complete,
+            Some(fs) => Completeness::Frontier { level: fs.level },
+            None => Completeness::Truncated { level: self.truncated_level },
+        }
+    }
+
+    /// Whether a later run can deepen this record from its persisted
+    /// frontier (as opposed to a terminal record: complete, or
+    /// permanently truncated by a bound).
+    pub fn is_resumable(&self) -> bool {
+        matches!(self.completeness(), Completeness::Frontier { .. })
     }
 
     pub(crate) fn encode(&self, out: &mut Vec<u8>) {
@@ -637,6 +628,18 @@ impl FunctionRecord {
     }
 }
 
+/// Column widths of Table 3; the function name is left-aligned, every
+/// other column right-aligned.
+const TABLE3_WIDTHS: [usize; 13] = [22, 6, 4, 4, 4, 9, 11, 4, 5, 6, 6, 6, 7];
+
+fn table3_line(cells: [&str; 13]) -> String {
+    let mut line = format!("{:<w$}", cells[0], w = TABLE3_WIDTHS[0]);
+    for (cell, w) in cells[1..].iter().zip(&TABLE3_WIDTHS[1..]) {
+        line.push_str(&format!(" {cell:>w$}"));
+    }
+    line
+}
+
 /// How much of a function's phase-order space a memo record covers.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Completeness {
@@ -663,65 +666,6 @@ impl fmt::Display for Completeness {
             Completeness::Truncated { level } => write!(f, "truncated at level {level}"),
             Completeness::Frontier { level } => write!(f, "frontier at level {level}"),
         }
-    }
-}
-
-/// Typed read-only view over a [`FunctionRecord`]: the daemon and the
-/// CLI both render memo answers through these accessors instead of
-/// poking record fields directly.
-#[derive(Clone, Copy, Debug)]
-pub struct MemoEntry<'a> {
-    record: &'a FunctionRecord,
-}
-
-impl<'a> MemoEntry<'a> {
-    /// Wraps a record.
-    pub fn new(record: &'a FunctionRecord) -> MemoEntry<'a> {
-        MemoEntry { record }
-    }
-
-    /// The underlying record.
-    pub fn record(&self) -> &'a FunctionRecord {
-        self.record
-    }
-
-    /// Campaign-qualified function name.
-    pub fn name(&self) -> &'a str {
-        &self.record.name
-    }
-
-    /// Whether the record is complete, permanently truncated, or
-    /// suspended at a persisted frontier.
-    pub fn completeness(&self) -> Completeness {
-        if self.record.complete {
-            Completeness::Complete
-        } else if let Some(fs) = &self.record.frontier {
-            Completeness::Frontier { level: fs.level }
-        } else {
-            Completeness::Truncated { level: self.record.truncated_level }
-        }
-    }
-
-    /// Whether a later run can deepen this record from saved state.
-    pub fn is_resumable(&self) -> bool {
-        matches!(self.completeness(), Completeness::Frontier { .. })
-    }
-
-    /// The code-size-optimal phase ordering in letter notation — for an
-    /// incomplete record, the best ordering found *so far*. `None` when
-    /// the partial space has no candidate yet.
-    pub fn optimal_ordering(&self) -> Option<&'a str> {
-        (self.record.leaves > 0).then_some(self.record.best_sequence.as_str())
-    }
-
-    /// Instruction count of that ordering's instance.
-    pub fn best_insts(&self) -> Option<u32> {
-        (self.record.leaves > 0).then_some(self.record.best_insts)
-    }
-
-    /// The record's Table-3 row (`N/A` columns for incomplete records).
-    pub fn table3_row(&self) -> FunctionRow {
-        self.record.to_row()
     }
 }
 
@@ -898,11 +842,6 @@ impl ResultStore {
     pub fn find(&self, name: &str) -> Option<&FunctionRecord> {
         self.records.iter().find(|r| r.name == name)
     }
-
-    /// Looks up a record as a typed [`MemoEntry`] view.
-    pub fn entry(&self, name: &str) -> Option<MemoEntry<'_>> {
-        self.find(name).map(MemoEntry::new)
-    }
 }
 
 /// Deterministic function→shard assignment for a sharded memo service:
@@ -969,45 +908,32 @@ mod tests {
     }
 
     fn sample_frontier() -> FrontierState {
-        let root = PersistedNode {
+        let node = |byte_sum, crc, level, discovered_from, pruned| Node {
+            fp: Fingerprint { inst_count: 33, byte_sum, crc },
+            flags: FuncFlags { regs_assigned: true, reg_allocated: false },
+            level,
+            inst_count: 33,
+            cf_sig: 9,
+            active_mask: 0,
+            children: vec![],
+            sem_children: vec![],
+            pruned_children: vec![],
+            pruned,
+            discovered_from,
+            weight: 0,
+        };
+        let root = Node {
             fp: Fingerprint { inst_count: 40, byte_sum: 777, crc: 0xABCD },
             flags: FuncFlags::default(),
-            level: 0,
             inst_count: 40,
-            cf_sig: 9,
             active_mask: 0b101,
-            children: vec![(PhaseId::Cse, 1), (PhaseId::LoopUnroll, 2)],
-            sem_children: vec![(PhaseId::DeadAssign, 0)],
-            pruned_children: vec![(PhaseId::LoopUnroll, 1)],
-            discovered_from: None,
-            pruned: false,
+            children: vec![(PhaseId::Cse, NodeId(1)), (PhaseId::LoopUnroll, NodeId(2))],
+            sem_children: vec![(PhaseId::DeadAssign, NodeId(0))],
+            pruned_children: vec![(PhaseId::LoopUnroll, NodeId(1))],
+            ..node(0, 0, 0, None, false)
         };
-        let child = PersistedNode {
-            fp: Fingerprint { inst_count: 33, byte_sum: 555, crc: 0x1234 },
-            flags: FuncFlags { regs_assigned: true, reg_allocated: false },
-            level: 1,
-            inst_count: 33,
-            cf_sig: 9,
-            active_mask: 0,
-            children: vec![],
-            sem_children: vec![],
-            pruned_children: vec![],
-            discovered_from: Some((0, PhaseId::Cse)),
-            pruned: false,
-        };
-        let pruned = PersistedNode {
-            fp: Fingerprint { inst_count: 33, byte_sum: 601, crc: 0x5678 },
-            flags: FuncFlags { regs_assigned: true, reg_allocated: false },
-            level: 1,
-            inst_count: 33,
-            cf_sig: 9,
-            active_mask: 0,
-            children: vec![],
-            sem_children: vec![],
-            pruned_children: vec![],
-            discovered_from: Some((0, PhaseId::LoopUnroll)),
-            pruned: true,
-        };
+        let child = node(555, 0x1234, 1, Some((NodeId(0), PhaseId::Cse)), false);
+        let pruned = node(601, 0x5678, 1, Some((NodeId(0), PhaseId::LoopUnroll)), true);
         FrontierState { level: 1, nodes: vec![root, child, pruned], frontier: vec![1] }
     }
 
@@ -1048,12 +974,7 @@ mod tests {
         assert_eq!(back.to_bytes(), bytes);
         let fs = back.find("qsort::partition").unwrap().frontier.as_ref().unwrap();
         assert_eq!(fs.frontier, vec![1]);
-        // Persisted nodes rebuild live nodes losslessly (weight zero).
-        for pn in &fs.nodes {
-            let node = pn.to_node();
-            assert_eq!(PersistedNode::of(&node), *pn);
-            assert_eq!(node.weight, 0);
-        }
+        assert!(fs.nodes.iter().all(|n| n.weight == 0), "weights are not persisted");
     }
 
     #[test]
@@ -1164,7 +1085,7 @@ mod tests {
 
     /// Encodes a node exactly as the v2/v3 builds did: two edge lists,
     /// no pruned flag. Callers must pass pre-v4-shaped nodes.
-    fn encode_node_v3(n: &PersistedNode, out: &mut Vec<u8>) {
+    fn encode_node_v3(n: &Node, out: &mut Vec<u8>) {
         assert!(!n.pruned && n.pruned_children.is_empty(), "node carries v4 state");
         wire::put_u32(out, n.fp.inst_count);
         wire::put_u64(out, n.fp.byte_sum);
@@ -1178,13 +1099,13 @@ mod tests {
             out.push(edges.len() as u8);
             for &(p, c) in edges {
                 out.push(p.index() as u8);
-                wire::put_u32(out, c);
+                wire::put_u32(out, c.0);
             }
         }
         match n.discovered_from {
             Some((parent, phase)) => {
                 out.push(1);
-                wire::put_u32(out, parent);
+                wire::put_u32(out, parent.0);
                 out.push(phase.index() as u8);
             }
             None => out.push(0),
@@ -1347,54 +1268,162 @@ mod tests {
     }
 
     #[test]
-    fn record_to_row_respects_na_convention() {
+    fn table3_row_respects_na_convention() {
         let mut rec = sample_record("f", 2);
         assert!(rec.complete);
-        let row = rec.to_row();
-        assert_eq!(row.fn_instances, Some(rec.fn_instances as usize));
-        assert_eq!(row.code_min, Some(21));
+        assert!(!rec.table3_row().contains("N/A"));
+        assert!(rec.code_diff_percent().is_some());
         rec.complete = false;
-        let row = rec.to_row();
-        assert_eq!(row.fn_instances, None);
-        assert_eq!(row.code_min, None);
-        assert!(row.render().contains("N/A"));
+        assert!(rec.table3_row().contains("N/A"));
+        assert_eq!(rec.code_diff_percent(), None);
     }
 
     #[test]
-    fn memo_entry_classifies_and_renders() {
+    fn records_classify_their_completeness() {
         // Complete record.
         let complete = sample_record("f", 2);
-        let e = MemoEntry::new(&complete);
-        assert_eq!(e.completeness(), Completeness::Complete);
-        assert!(!e.is_resumable());
-        assert_eq!(e.optimal_ordering(), Some("skcshu"));
-        assert_eq!(e.best_insts(), Some(21));
-        assert_eq!(e.table3_row().code_min, Some(21));
+        assert_eq!(complete.completeness(), Completeness::Complete);
+        assert!(!complete.is_resumable());
         // Permanently truncated: incomplete, no frontier.
         let truncated = sample_record("g", 5);
-        let e = MemoEntry::new(&truncated);
-        assert_eq!(e.completeness(), Completeness::Truncated { level: truncated.truncated_level });
-        assert!(!e.is_resumable());
-        assert_eq!(e.table3_row().fn_instances, None);
+        let level = truncated.truncated_level;
+        assert_eq!(truncated.completeness(), Completeness::Truncated { level });
+        assert!(!truncated.is_resumable());
         // Suspended at a frontier: incomplete, checkpoint attached.
         let mut partial = sample_record("h", 7);
         partial.frontier = Some(sample_frontier());
-        let e = MemoEntry::new(&partial);
-        assert_eq!(e.completeness(), Completeness::Frontier { level: 1 });
-        assert!(e.is_resumable());
-        assert_eq!(e.optimal_ordering(), Some("skcshu"), "best-so-far still renders");
-        assert_eq!(format!("{}", e.completeness()), "frontier at level 1");
-        // No leaves yet: no candidate ordering.
-        let mut empty = sample_record("i", 7);
-        empty.leaves = 0;
-        let e = MemoEntry::new(&empty);
-        assert_eq!(e.optimal_ordering(), None);
-        assert_eq!(e.best_insts(), None);
-        // Store-level typed lookup.
+        assert_eq!(partial.completeness(), Completeness::Frontier { level: 1 });
+        assert!(partial.is_resumable());
+        assert_eq!(format!("{}", partial.completeness()), "frontier at level 1");
         let s = store_with_frontier();
-        assert!(s.entry("qsort::partition").unwrap().is_resumable());
-        assert!(s.entry("bitcount::bit_count").unwrap().optimal_ordering().is_some());
-        assert!(s.entry("nope").is_none());
+        assert!(s.find("qsort::partition").unwrap().is_resumable());
+    }
+
+    fn record_of(src: &str, config: &Config) -> FunctionRecord {
+        let p = vpo_frontend::compile(src).unwrap();
+        let f = &p.functions[0];
+        let e = crate::enumerate(f, &vpo_opt::Target::default(), config);
+        FunctionRecord::from_enumeration("f(t)", f, &e)
+    }
+
+    #[test]
+    fn row_from_small_function() {
+        let rec = record_of(
+            "int f(int n) { int s = 0; int i; for (i = 0; i < n; i++) s += i; return s; }",
+            &Config::default(),
+        );
+        assert!(rec.complete);
+        assert_eq!(rec.loops, 1);
+        assert!(rec.fn_instances > 5);
+        assert!(rec.attempted_phases > rec.fn_instances);
+        assert!(rec.code_max >= rec.code_min);
+        assert!(rec.code_diff_percent().unwrap() >= 0.0);
+        let line = rec.table3_row();
+        assert!(line.contains("f(t)"));
+        assert!(!line.contains("N/A"));
+        assert_eq!(
+            FunctionRecord::table3_header().split_whitespace().count(),
+            line.split_whitespace().count()
+        );
+    }
+
+    #[test]
+    fn incomplete_searches_render_na() {
+        let rec = record_of(
+            "int f(int n) { int s = 0; int i; for (i = 0; i < n; i++) s += i * i; return s; }",
+            &Config { max_level_width: 1, ..Config::default() },
+        );
+        assert!(!rec.complete);
+        assert!(rec.table3_row().contains("N/A"));
+    }
+
+    /// Stores written by `vpoc campaign` at format version 4, checked in
+    /// so that an encoder and a decoder changing together cannot go
+    /// unnoticed (in-process round trips would still agree):
+    ///
+    /// * `campaign_store_v4_fingerprint.bin`: `--bench bitcount
+    ///   bitcount_parallel`, fingerprint tier, complete.
+    /// * `campaign_store_v4_pruned_suspended.bin`: `--bench bitcount
+    ///   ntbl_bitcount --merge-tier semantic-pruned --budget 30`,
+    ///   suspended with a frontier that carries semantic-merge and
+    ///   subsumption-pruned edges.
+    const V4_FINGERPRINT: &[u8] =
+        include_bytes!("../../../../tests/fixtures/campaign_store_v4_fingerprint.bin");
+    const V4_PRUNED_SUSPENDED: &[u8] =
+        include_bytes!("../../../../tests/fixtures/campaign_store_v4_pruned_suspended.bin");
+
+    #[test]
+    fn version_4_fixtures_decode_and_reencode_identically() {
+        let s = ResultStore::from_bytes(V4_FINGERPRINT).expect("v4 fingerprint store loads");
+        assert!(!s.config.semantic && !s.config.sem_pruned);
+        assert_eq!((s.config.max_nodes, s.config.max_level_width), (4_000_000, 1_000_000));
+        let [rec] = &s.records[..] else { panic!("one record expected") };
+        assert_eq!(rec.name, "bitcount::bitcount_parallel");
+        assert!(rec.complete);
+        assert_eq!((rec.insts, rec.blocks, rec.branches, rec.loops), (92, 1, 0, 0));
+        assert_eq!((rec.fn_instances, rec.leaves, rec.control_flows), (11, 3, 1));
+        assert_eq!((rec.max_seq_len, rec.code_min, rec.code_max), (4, 49, 71));
+        assert_eq!((rec.attempted_phases, rec.active_attempts, rec.phases_applied), (165, 11, 165));
+        assert_eq!(rec.active_counts, [0, 3, 0, 0, 3, 0, 0, 1, 0, 0, 0, 0, 0, 4, 0]);
+        assert_eq!((rec.best_sequence.as_str(), rec.best_insts), ("sksc", 49));
+        assert!(rec.frontier.is_none());
+        assert_eq!(s.to_bytes(), V4_FINGERPRINT, "re-encoding must be byte-identical");
+
+        let s = ResultStore::from_bytes(V4_PRUNED_SUSPENDED).expect("v4 pruned store loads");
+        assert!(s.config.semantic && s.config.sem_pruned);
+        assert_eq!(
+            (s.config.sem_battery, s.config.sem_seed, s.config.sem_fuel),
+            (4, 306_206, 2_000_000)
+        );
+        let [rec] = &s.records[..] else { panic!("one record expected") };
+        assert_eq!(rec.name, "bitcount::ntbl_bitcount");
+        assert!(!rec.complete);
+        assert_eq!(rec.truncated_level, 5);
+        assert_eq!((rec.fn_instances, rec.leaves, rec.attempted_phases), (47, 8, 570));
+        assert_eq!((rec.sem_merges, rec.sem_prunes, rec.sem_mask_fallbacks), (21, 2, 19));
+        assert_eq!((rec.best_sequence.as_str(), rec.best_insts), ("qhsks", 48));
+        let fs = rec.frontier.as_ref().expect("suspended record carries its frontier");
+        assert_eq!((fs.level, fs.nodes.len()), (5, 47));
+        assert_eq!(fs.frontier, vec![39, 40, 41, 42, 43, 45, 46]);
+        let edges = |list: fn(&_) -> usize| fs.nodes.iter().map(list).sum::<usize>();
+        assert_eq!(edges(|n| n.children.len()), 76, "one child edge per active attempt");
+        assert_eq!(edges(|n| n.sem_children.len()), 19);
+        assert_eq!(edges(|n| n.pruned_children.len()), 2);
+        let pruned: Vec<usize> =
+            fs.nodes.iter().enumerate().filter(|(_, n)| n.pruned).map(|(i, _)| i).collect();
+        assert_eq!(pruned.len(), 2);
+        assert!(
+            pruned.iter().all(|&i| !fs.frontier.contains(&(i as u32))),
+            "pruned nodes never expand"
+        );
+        assert_eq!(s.to_bytes(), V4_PRUNED_SUSPENDED, "re-encoding must be byte-identical");
+    }
+
+    #[test]
+    fn table3_rendering_is_pinned() {
+        let complete = &ResultStore::from_bytes(V4_FINGERPRINT).unwrap().records[0];
+        let suspended = &ResultStore::from_bytes(V4_PRUNED_SUSPENDED).unwrap().records[0];
+        let no_leaves = FunctionRecord { leaves: 0, ..complete.clone() };
+        assert_eq!(
+            FunctionRecord::table3_header(),
+            "Function                Insts  Blk Brch Loop    FnInst   AttemptPh  Len    CF   \
+             Leaf    Max    Min   %Diff"
+        );
+        assert_eq!(
+            complete.table3_row(),
+            "bitcount::bitcount_parallel     92    1    0    0        11         165    4     1      \
+             3     71     49    44.9"
+        );
+        assert_eq!(
+            suspended.table3_row(),
+            "bitcount::ntbl_bitcount    104    1    0    0       N/A         N/A  N/A   N/A    \
+             N/A    N/A    N/A     N/A"
+        );
+        assert_eq!(
+            no_leaves.table3_row(),
+            "bitcount::bitcount_parallel     92    1    0    0        11         165    4     1      \
+             0    N/A    N/A     N/A"
+        );
     }
 
     #[test]

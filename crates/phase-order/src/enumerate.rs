@@ -178,15 +178,14 @@ pub struct Enumeration {
     pub stats: SearchStats,
 }
 
-/// One instance awaiting expansion: its node, its materialized function
-/// (prefix sharing) and its discovery sequence (naive replay only). The
-/// function is shared, not owned: expansion only reads it, and the
-/// campaign driver hands entries to workers without deep-copying under
-/// its scheduler lock.
+/// One instance awaiting expansion: its node and its materialized
+/// function. The function is shared, not owned: expansion only reads it,
+/// and the campaign driver hands entries to workers without deep-copying
+/// under its scheduler lock. Naive replay reads the node's discovery
+/// sequence off the space instead.
 pub(crate) struct FrontierEntry {
     pub(crate) id: NodeId,
     pub(crate) func: Arc<Function>,
-    pub(crate) seq: Vec<PhaseId>,
 }
 
 /// The outcome of one phase attempt on one parent, recorded by the
@@ -389,8 +388,12 @@ pub(crate) fn merge_parent(
     mut sem: Option<&mut SemanticContext<'_>>,
 ) -> bool {
     let tm = crate::telemetry::global();
-    let naive = config.replay == ReplayMode::NaiveReplay;
-    let replay_cost = if naive { parent.seq.len() as u64 } else { 0 };
+    // Naive replay re-applies the parent's whole discovery sequence,
+    // whose length is the parent's level.
+    let replay_cost = match config.replay {
+        ReplayMode::NaiveReplay => space.node(parent.id).level as u64,
+        ReplayMode::PrefixSharing => 0,
+    };
     let mut active_mask = 0u16;
     let mut children = Vec::new();
     let mut sem_edges = Vec::new();
@@ -560,13 +563,7 @@ pub(crate) fn merge_parent(
                     }
                 }
                 if !skip_expansion {
-                    let mut seq = Vec::new();
-                    if naive {
-                        seq = Vec::with_capacity(parent.seq.len() + 1);
-                        seq.extend_from_slice(&parent.seq);
-                        seq.push(phase);
-                    }
-                    next.push(FrontierEntry { id, func, seq });
+                    next.push(FrontierEntry { id, func });
                 }
                 children.push((phase, id));
             }
@@ -957,7 +954,7 @@ mod tests {
                 func: Some(g.clone()),
                 bytes: config.paranoid.then(|| canon::canonical_bytes(g)),
             };
-            let parent = FrontierEntry { id: root, func: root_func, seq: Vec::new() };
+            let parent = FrontierEntry { id: root, func: root_func };
             let mut next = Vec::new();
             let tm = crate::telemetry::global();
             let collisions_before = tm.sem_sig_collisions.get();

@@ -14,7 +14,6 @@
 //! * [`space`] — the resulting weighted DAG of distinct function instances
 //!   (Figure 7), with node weights counting the distinct active sequences
 //!   through each node.
-//! * [`stats`] — the per-function search-space statistics of Table 3.
 //! * [`interaction`] — the enabling / disabling / independence probability
 //!   analyses of Tables 4, 5 and 6 (Section 5).
 //! * [`prob`] — the probabilistic batch compiler of Section 6 (Figure 8),
@@ -42,7 +41,9 @@
 //!   work-stealing worker pool explores every function of a program (or
 //!   a whole benchmark suite), checkpointing each completed function to
 //!   an on-disk result store ([`campaign::store`]) so an interrupted
-//!   campaign resumes exactly where it stopped, and streaming progress
+//!   campaign resumes exactly where it stopped; each function's result
+//!   is one [`campaign::store::FunctionRecord`], which also renders its
+//!   Table-3 row. Progress streams
 //!   through the [`campaign::Observer`] trait.
 //! * [`telemetry`] — the lock-free metrics registry wired through all of
 //!   the above: nodes expanded, fingerprint-cache hits, prunes, steal
@@ -79,7 +80,6 @@ pub mod search;
 pub mod semantic;
 pub mod service;
 pub mod space;
-pub mod stats;
 pub mod telemetry;
 pub mod wire;
 

@@ -50,7 +50,7 @@ use vpo_opt::{attempt, PhaseId, Target};
 use vpo_rtl::canon;
 use vpo_rtl::rng::Rng;
 use vpo_rtl::{Function, Program};
-use vpo_sim::{Machine, SimError};
+use vpo_sim::{BatteryOutcome, Machine, SimError};
 
 use crate::enumerate::{sequence_letters, Enumeration};
 use crate::semantic::SemanticConfig;
@@ -231,38 +231,6 @@ pub fn materialize_all(space: &SearchSpace, root: &Function, target: &Target) ->
     out
 }
 
-/// Executes `f` once on `args`, returning the observation and the dynamic
-/// instruction count. The machine is reset first, so runs are independent.
-fn observe(m: &mut Machine<'_>, f: &Function, args: &[i32], fuel: u64) -> (Observation, u64) {
-    m.reset();
-    m.set_fuel(fuel);
-    let r = m.call_instance(f, args);
-    let obs = r.map(|v| (v, m.globals_crc()));
-    (obs, m.dynamic_insts())
-}
-
-/// Observes `f` on the whole battery. Returns per-input observations,
-/// per-input dynamic counts, and the total dynamic count. Under the
-/// threaded engine the instance is lowered once and reused for every
-/// input, so the per-battery cost is one lowering (mostly block-cache
-/// hits across instances) plus the flat op-array executions.
-fn observe_battery(
-    m: &mut Machine<'_>,
-    f: &Function,
-    inputs: &[Vec<i32>],
-    fuel: u64,
-) -> (Vec<Observation>, Vec<u64>, u64) {
-    let mut obs = Vec::with_capacity(inputs.len());
-    let mut dyns = Vec::with_capacity(inputs.len());
-    let mut dynamic = 0;
-    for (o, d) in m.run_battery(f, inputs, fuel) {
-        obs.push(o);
-        dyns.push(d);
-        dynamic += d;
-    }
-    (obs, dyns, dynamic)
-}
-
 /// The candidate inputs [`build_battery`] draws from for a function of
 /// `arity` parameters: deterministic edge-case tuples first, then
 /// `8 * config.battery` seeded draws (mostly small, a quarter in
@@ -314,7 +282,10 @@ pub(crate) fn build_battery(
         if inputs.len() >= config.battery {
             break;
         }
-        let (obs, d) = observe(&mut m, f, &args, config.fuel);
+        let (obs, d) = m
+            .run_battery(f, std::slice::from_ref(&args), config.fuel)
+            .pop()
+            .expect("one outcome per input");
         if obs.is_ok() || arity == 0 {
             inputs.push(args);
             baseline.push(obs);
@@ -334,11 +305,9 @@ enum Item {
 
 /// Per-item verification outcome, merged in item order.
 struct ItemResult {
-    obs: Vec<Observation>,
-    /// Per-input dynamic counts (what the semantic signature asserts
-    /// beyond behavior: cost).
-    dyns: Vec<u64>,
-    dynamic: u64,
+    /// Per-input observation and dynamic count (the count is what the
+    /// semantic signature asserts beyond behavior: cost).
+    runs: Vec<BatteryOutcome>,
     /// `Some` for fingerprint edges: whether the rematerialization's
     /// canonical bytes equal the merged node's.
     bytes_match: Option<bool>,
@@ -392,27 +361,20 @@ pub fn verify(
         match item {
             Item::Node(id) => {
                 let func = &funcs[id.0 as usize];
-                let (obs, dyns, dynamic) = observe_battery(m, func, &inputs, config.fuel);
-                let fp_match = canon::fingerprint(func) == space.node(*id).fp;
                 ItemResult {
-                    obs,
-                    dyns,
-                    dynamic,
+                    runs: m.run_battery(func, &inputs, config.fuel),
                     bytes_match: None,
-                    fp_match,
+                    fp_match: canon::fingerprint(func) == space.node(*id).fp,
                     structure_match: None,
                 }
             }
             Item::Edge { parent, phase, child } => {
                 let mut g = funcs[parent.0 as usize].clone();
                 attempt(&mut g, *phase, target);
-                let (obs, dyns, dynamic) = observe_battery(m, &g, &inputs, config.fuel);
                 let bytes_match =
                     canon::canonical_bytes(&g) == canon::canonical_bytes(&funcs[child.0 as usize]);
                 ItemResult {
-                    obs,
-                    dyns,
-                    dynamic,
+                    runs: m.run_battery(&g, &inputs, config.fuel),
                     bytes_match: Some(bytes_match),
                     fp_match: true,
                     structure_match: None,
@@ -421,13 +383,10 @@ pub fn verify(
             Item::SemEdge { parent, phase, rep } => {
                 let mut g = funcs[parent.0 as usize].clone();
                 attempt(&mut g, *phase, target);
-                let (obs, dyns, dynamic) = observe_battery(m, &g, &inputs, config.fuel);
                 let structure_match = crate::semantic::StructuralKey::of(&g)
                     == crate::semantic::StructuralKey::of(&funcs[rep.0 as usize]);
                 ItemResult {
-                    obs,
-                    dyns,
-                    dynamic,
+                    runs: m.run_battery(&g, &inputs, config.fuel),
                     bytes_match: None,
                     fp_match: true,
                     structure_match: Some(structure_match),
@@ -463,8 +422,7 @@ pub fn verify(
     let mut findings = Vec::new();
     let mut leaves = Vec::new();
     let mut simulations = 0u64;
-    let mut node_obs: Vec<Option<&Vec<Observation>>> = vec![None; space.len()];
-    let mut node_dyns: Vec<Option<&Vec<u64>>> = vec![None; space.len()];
+    let mut node_runs: Vec<Option<&[BatteryOutcome]>> = vec![None; space.len()];
     for (item, res) in items.iter().zip(&results) {
         simulations += inputs.len() as u64;
         match item {
@@ -472,7 +430,8 @@ pub fn verify(
                 if !res.fp_match {
                     findings.push(Finding::MaterializationDrift { node: *id });
                 }
-                for (input, (got, expected)) in res.obs.iter().zip(&baseline_obs).enumerate() {
+                for (input, ((got, _), expected)) in res.runs.iter().zip(&baseline_obs).enumerate()
+                {
                     if got != expected {
                         findings.push(Finding::BaselineMismatch {
                             node: *id,
@@ -482,14 +441,13 @@ pub fn verify(
                         });
                     }
                 }
-                node_obs[id.0 as usize] = Some(&res.obs);
-                node_dyns[id.0 as usize] = Some(&res.dyns);
+                node_runs[id.0 as usize] = Some(&res.runs);
                 let node = space.node(*id);
                 if node.is_leaf() {
                     leaves.push(LeafDynamics {
                         node: *id,
                         inst_count: node.inst_count,
-                        dynamic: res.dynamic,
+                        dynamic: res.runs.iter().map(|(_, d)| d).sum(),
                         sequence: sequence_letters(&space.discovery_sequence(*id)),
                     });
                 }
@@ -503,8 +461,8 @@ pub fn verify(
                     });
                 }
                 let expected =
-                    node_obs[child.0 as usize].expect("nodes precede edges in the work list");
-                for (input, (got, exp)) in res.obs.iter().zip(expected).enumerate() {
+                    node_runs[child.0 as usize].expect("nodes precede edges in the work list");
+                for (input, ((got, _), (exp, _))) in res.runs.iter().zip(expected).enumerate() {
                     if got != exp {
                         findings.push(Finding::ClassMismatch {
                             node: *child,
@@ -526,14 +484,10 @@ pub fn verify(
                         input: None,
                     });
                 }
-                let exp_obs =
-                    node_obs[rep.0 as usize].expect("nodes precede edges in the work list");
-                let exp_dyns =
-                    node_dyns[rep.0 as usize].expect("nodes precede edges in the work list");
-                for (input, ((got, exp), (gd, ed))) in
-                    res.obs.iter().zip(exp_obs).zip(res.dyns.iter().zip(exp_dyns)).enumerate()
-                {
-                    if got != exp || gd != ed {
+                let expected =
+                    node_runs[rep.0 as usize].expect("nodes precede edges in the work list");
+                for (input, (got, exp)) in res.runs.iter().zip(expected).enumerate() {
+                    if got != exp {
                         findings.push(Finding::SemanticMergeMismatch {
                             node: *rep,
                             parent: *parent,

@@ -54,7 +54,7 @@ impl std::fmt::Display for NodeId {
 }
 
 /// One distinct function instance.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Node {
     /// Canonical fingerprint of the instance.
     pub fp: Fingerprint,

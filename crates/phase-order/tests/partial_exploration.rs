@@ -8,7 +8,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use phase_order::campaign::store::{MemoEntry, ResultStore};
+use phase_order::campaign::store::ResultStore;
 use phase_order::campaign::{run, CampaignConfig, FunctionTask, NullObserver};
 use phase_order::enumerate::Config;
 use phase_order::SemanticConfig;
@@ -70,8 +70,7 @@ fn deplete(
         expanded += s.expanded;
         sessions += 1;
         assert!(sessions < 500, "budgeted sessions must converge");
-        let done = s.records.len() == total_tasks
-            && s.records.iter().all(|r| !MemoEntry::new(r).is_resumable());
+        let done = s.records.len() == total_tasks && s.records.iter().all(|r| !r.is_resumable());
         if done {
             break;
         }
@@ -169,8 +168,7 @@ fn explore_function_deepens_strictly_through_store_round_trips() {
         let record = outcome.record.expect("budgeted requests always checkpoint");
         steps += 1;
         assert!(steps < 200, "budgeted requests must converge");
-        let entry = MemoEntry::new(&record);
-        if entry.is_resumable() {
+        if record.is_resumable() {
             assert!(outcome.expanded > 0, "a cold request must make progress");
             let level = record.frontier.as_ref().unwrap().level;
             assert!(
@@ -188,7 +186,7 @@ fn explore_function_deepens_strictly_through_store_round_trips() {
         let copy = reloaded.find(&task.name).unwrap().clone();
         assert_eq!(copy, record, "records survive store bytes unchanged");
 
-        if !MemoEntry::new(&record).is_resumable() {
+        if !record.is_resumable() {
             assert_eq!(record, want, "depleted record must equal the uncapped one");
             break;
         }

@@ -55,8 +55,8 @@ fn code_size_spread_matches_paper_shape() {
     let mut spreads = Vec::new();
     for (name, f) in small_suite() {
         let e = enumerate(&f, &target, &Config::default());
-        let row = FunctionRecord::from_enumeration(name, &f, &e).to_row();
-        if let Some(d) = row.code_diff_percent() {
+        let record = FunctionRecord::from_enumeration(name, &f, &e);
+        if let Some(d) = record.code_diff_percent() {
             spreads.push(d);
         }
     }
