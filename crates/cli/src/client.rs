@@ -132,16 +132,10 @@ fn roundtrip(
         })?;
         let response = decode(socket, &payload)?;
         match response {
-            Response::Progress { function, level, expanded, remaining } => {
-                if remaining == u64::MAX {
-                    eprintln!("query: {function}: level {level} merged, {expanded} expanded");
-                } else {
-                    eprintln!(
-                        "query: {function}: level {level} merged, {expanded} expanded, \
-                         {remaining} budget left"
-                    );
-                }
-            }
+            Response::Progress { function, level, expanded, remaining } => eprintln!(
+                "query: {function}: level {level} merged, {expanded} expanded, \
+                 {remaining} budget left"
+            ),
             terminal => return Ok(terminal),
         }
     }

@@ -172,7 +172,7 @@ impl Daemon {
                 out.records.push((*rec).clone());
             }
         }
-        out.save(&s.path).map_err(|e| e.to_string())
+        campaign::save_store(&out, &s.path).map_err(|e| e.to_string())
     }
 
     /// The daemon's backoff hint for an [`Response::Overloaded`]: scale

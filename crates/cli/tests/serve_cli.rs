@@ -73,6 +73,17 @@ fn list_names(socket: &Path) -> Vec<String> {
     text.lines().filter_map(|l| l.split_whitespace().next()).map(str::to_owned).collect()
 }
 
+/// A counter or gauge out of `query --telemetry`'s snapshot JSON.
+fn metric(json: &str, name: &str) -> u64 {
+    let needle = format!("\"name\": \"{name}\", ");
+    let line = json
+        .lines()
+        .find(|l| l.contains(&needle))
+        .unwrap_or_else(|| panic!("no metric `{name}` in telemetry:\n{json}"));
+    let v = line.split("\"value\": ").nth(1).unwrap();
+    v.chars().take_while(|c| c.is_ascii_digit()).collect::<String>().parse().unwrap()
+}
+
 /// Re-queries every function until none reports a resumable frontier.
 fn deplete(socket: &Path, names: &[String]) {
     for name in names {
@@ -130,6 +141,15 @@ fn daemon_depletes_cold_queries_matches_campaign_and_survives_sigkill() {
         want,
         "depleted daemon store differs from the uncapped campaign's"
     );
+
+    // Every shard flush counts in the campaign's store metrics: one
+    // startup flush of the single shard, then one per cold run.
+    let (ok, json) = query(&socket, &["--telemetry"]);
+    assert!(ok, "{json}");
+    let cold_runs = metric(&json, "serve.cold_runs");
+    assert!(cold_runs > 1, "depletion takes several cold runs:\n{json}");
+    assert_eq!(metric(&json, "campaign.store_flushes"), 1 + cold_runs, "{json}");
+    assert_eq!(metric(&json, "campaign.store_bytes"), want.len() as u64, "{json}");
 
     // Warm re-query: answered from the memo, and the Table-3 row is the
     // same line the campaign report printed for that function.

@@ -33,8 +33,8 @@
 //!   re-expanded, and once the search finally completes its record —
 //!   and the store — is byte-identical to an uncapped run's.
 //!   [`CampaignConfig::cancel`] suspends every in-flight search the
-//!   same way, which is how the daemon turns SIGTERM into flushed
-//!   checkpoints.
+//!   same way (how the daemon turns SIGTERM into flushed checkpoints).
+//!   A fresh search restores the level-0 root checkpoint the same way.
 //! * **Observability.** Progress streams through the [`Observer`] trait
 //!   (function started / level completed / function done / store
 //!   flushed); the CLI renders it as a live progress line, and later
@@ -56,8 +56,8 @@ use vpo_rtl::canon::{self, Fingerprint};
 use vpo_rtl::{FuncFlags, Function, Program};
 
 use crate::enumerate::{
-    expand_parent, merge_parent, rematerialize, seed_root, AttemptRecord, Config, Enumeration,
-    ExpandScratch, FrontierEntry, ReplayMode, SearchOutcome, SearchStats,
+    expand_parent, merge_parent, rematerialize, AttemptRecord, Config, Enumeration, ExpandScratch,
+    FrontierEntry, ReplayMode, SearchOutcome, SearchStats,
 };
 use crate::semantic::{SemanticConfig, SemanticContext};
 use crate::space::{NodeId, SearchSpace};
@@ -221,20 +221,6 @@ pub struct CampaignSummary {
     pub elapsed: Duration,
 }
 
-/// One task as the driver sees it, borrowed from a [`FunctionTask`] or
-/// from an [`crate::enumerate()`] call.
-pub(crate) struct TaskRef<'a> {
-    pub(crate) name: &'a str,
-    pub(crate) func: &'a Function,
-    pub(crate) program: Option<&'a Program>,
-}
-
-impl<'a> From<&'a FunctionTask> for TaskRef<'a> {
-    fn from(t: &'a FunctionTask) -> Self {
-        TaskRef { name: &t.name, func: &t.func, program: t.program.as_deref() }
-    }
-}
-
 /// One in-flight function search: the per-function state of the
 /// level-order search, opened up so the shared pool can claim
 /// individual parent expansions.
@@ -281,7 +267,7 @@ struct Job {
     /// The claimed parents in frontier order. Their discovery edges
     /// (the phase not to re-attempt, the sequence naive replay rebuilds
     /// them from) are read off `space`.
-    parents: Vec<(NodeId, Arc<Function>)>,
+    parents: Vec<FrontierEntry>,
     space: Arc<SearchSpace>,
 }
 
@@ -291,7 +277,7 @@ struct DriverState<'a> {
     /// One slot per task; a `Some` holds either a terminal record or a
     /// suspended checkpoint awaiting restoration.
     completed: Vec<Option<FunctionRecord>>,
-    /// In an [`enumerate_tasks`] run, one slot per task for its finished
+    /// In an [`enumerate_all`] run, one slot per task for its finished
     /// search, which is handed back instead of recorded; empty otherwise.
     enumerations: Vec<Option<Enumeration>>,
     fresh: usize,
@@ -303,32 +289,13 @@ struct DriverState<'a> {
 }
 
 struct Ctx<'a> {
-    tasks: &'a [TaskRef<'a>],
+    tasks: &'a [FunctionTask],
     target: &'a Target,
     config: &'a CampaignConfig,
     store_path: Option<&'a Path>,
     observer: &'a dyn Observer,
     state: Mutex<DriverState<'a>>,
     cv: Condvar,
-}
-
-impl<'a> Ctx<'a> {
-    fn cancelled(&self) -> bool {
-        self.config.cancel.as_ref().is_some_and(|c| c.load(Ordering::Relaxed))
-    }
-
-    /// A fresh semantic context for `task`, when the campaign runs a
-    /// semantic merge tier.
-    fn semantic(&self, task: usize) -> Option<SemanticContext<'a>> {
-        let sc = self.config.semantic.as_ref()?;
-        let t = &self.tasks[task];
-        let program = t.program.expect("semantic campaign tasks must carry their program");
-        let mut sem = SemanticContext::new(program, t.func, sc, self.config.enumerate.paranoid);
-        if self.config.sem_pruned {
-            sem.enable_pruning();
-        }
-        Some(sem)
-    }
 }
 
 /// Runs a campaign over `tasks`, checkpointing to `store_path` (no
@@ -441,8 +408,7 @@ fn drive(
     resumed: usize,
     start: Instant,
 ) -> Result<CampaignSummary, CampaignError> {
-    let tasks: Vec<TaskRef<'_>> = tasks.iter().map(TaskRef::from).collect();
-    let st = pool(&tasks, target, store_path, config, observer, completed, Vec::new());
+    let st = pool(tasks, target, store_path, config, observer, completed, Vec::new());
     if let Some(err) = st.failure {
         return Err(err);
     }
@@ -461,21 +427,11 @@ fn drive(
 /// Enumerates every task on one worker pool with no store, stealing
 /// parent expansions across functions as [`run`] does, and returns one
 /// [`Enumeration`] per task in task order, each identical to a serial
-/// [`crate::enumerate()`] of that task. Panics if the config sets a
-/// budget, cancel flag or `stop_after`: every search runs to its end.
+/// [`crate::enumerate()`] of that task — which is this function on a
+/// one-task list. Panics if the config sets a budget, cancel flag or
+/// `stop_after`: every search runs to its end.
 pub fn enumerate_all(
     tasks: &[FunctionTask],
-    target: &Target,
-    config: &CampaignConfig,
-) -> Vec<Enumeration> {
-    let tasks: Vec<TaskRef<'_>> = tasks.iter().map(TaskRef::from).collect();
-    enumerate_tasks(&tasks, target, config)
-}
-
-/// [`enumerate_all`] on borrowed tasks — also the engine behind
-/// [`crate::enumerate::enumerate_tier`], on a one-task list.
-pub(crate) fn enumerate_tasks(
-    tasks: &[TaskRef<'_>],
     target: &Target,
     config: &CampaignConfig,
 ) -> Vec<Enumeration> {
@@ -495,7 +451,7 @@ pub(crate) fn enumerate_tasks(
 /// `jobs - 1` scoped threads — until every task is recorded, suspended
 /// or abandoned, and returns the final scheduler state.
 fn pool<'a>(
-    tasks: &'a [TaskRef<'a>],
+    tasks: &'a [FunctionTask],
     target: &'a Target,
     store_path: Option<&'a Path>,
     config: &'a CampaignConfig,
@@ -554,7 +510,7 @@ fn worker(ctx: &Ctx<'_>) {
                 if st.halt || st.failure.is_some() {
                     return;
                 }
-                if ctx.cancelled() {
+                if ctx.config.cancel.as_ref().is_some_and(|c| c.load(Ordering::Relaxed)) {
                     suspend_all(ctx, &mut st);
                     st.halt = true;
                     ctx.cv.notify_all();
@@ -590,21 +546,21 @@ fn worker(ctx: &Ctx<'_>) {
         let records = job
             .parents
             .iter()
-            .map(|(id, func)| {
+            .map(|parent| {
                 let skip = if config.skip_just_applied {
-                    job.space.node(*id).discovered_from.map(|(_, p)| p)
+                    job.space.node(parent.id).discovered_from.map(|(_, p)| p)
                 } else {
                     None
                 };
                 let seq = match config.replay {
-                    ReplayMode::NaiveReplay => job.space.discovery_sequence(*id),
+                    ReplayMode::NaiveReplay => job.space.discovery_sequence(parent.id),
                     ReplayMode::PrefixSharing => Vec::new(),
                 };
                 expand_parent(
-                    ctx.tasks[job.task].func,
+                    &ctx.tasks[job.task].func,
                     ctx.target,
                     config,
-                    func,
+                    &parent.func,
                     &seq,
                     skip,
                     // The merge decides insertion against the real space;
@@ -656,15 +612,11 @@ fn claim(ctx: &Ctx<'_>, st: &mut DriverState<'_>) -> Option<Job> {
                 // soaked up by a later one — cross-function steals.
                 tm.campaign_steals.add(n as u64);
             }
-            let parents = s.frontier[first..first + n]
-                .iter()
-                .map(|entry| (entry.id, Arc::clone(&entry.func)))
-                .collect();
             return Some(Job {
                 task: s.task,
                 level: s.level,
                 first,
-                parents,
+                parents: s.frontier[first..first + n].to_vec(),
                 space: Arc::clone(&s.space),
             });
         }
@@ -672,60 +624,35 @@ fn claim(ctx: &Ctx<'_>, st: &mut DriverState<'_>) -> Option<Job> {
     None
 }
 
-/// Puts the next pending function in flight: seeds a fresh search, or —
-/// when its record holds a suspended checkpoint — restores the search
-/// from the persisted frontier and deepens it.
+/// Puts the next pending function in flight, restoring its search from
+/// a checkpoint: the suspended record's frontier, or — for a function
+/// never searched — the root checkpoint ([`FrontierState::root`]).
 fn activate<'a>(ctx: &Ctx<'a>, st: &mut DriverState<'a>) {
     let task = st.next_pending;
     st.next_pending += 1;
+    let tm = crate::telemetry::global();
     let search = match st.completed[task].as_ref().filter(|r| r.is_resumable()) {
         Some(rec) => {
             st.deepened += 1;
-            crate::telemetry::global().campaign_functions_deepened.inc();
-            restore_search(ctx, task, rec)
+            tm.campaign_functions_deepened.inc();
+            let fs = rec.frontier.as_ref().expect("a resumable record carries its checkpoint");
+            restore_search(ctx, task, rec.search_stats(), fs)
         }
-        None => fresh_search(ctx, task),
+        None => {
+            // The root is the search's first inserted node; restored
+            // nodes were counted by the session that inserted them.
+            tm.nodes_inserted.inc();
+            let root = FrontierState::root(&ctx.tasks[task].func);
+            restore_search(ctx, task, SearchStats::default(), &root)
+        }
     };
     st.active.push(search);
-    crate::telemetry::global().campaign_functions_started.inc();
-    ctx.observer.function_started(task, ctx.tasks.len(), ctx.tasks[task].name);
+    tm.campaign_functions_started.inc();
+    ctx.observer.function_started(task, ctx.tasks.len(), &ctx.tasks[task].name);
 }
 
-/// Seeds a search at the unoptimized root.
-fn fresh_search<'a>(ctx: &Ctx<'a>, task: usize) -> Search<'a> {
-    let root = ctx.tasks[task].func;
-    let mut space = SearchSpace::new();
-    let mut paranoid_bytes = HashMap::new();
-    let root_id = seed_root(&mut space, &mut paranoid_bytes, &ctx.config.enumerate, root);
-    let root_func = Arc::new(root.clone());
-    let sem = ctx.semantic(task).map(|mut sem| {
-        // The root founds the first signature class: instances
-        // behaviorally identical to the unoptimized function are
-        // annotated as merging into it.
-        let sig = sem.signature(root);
-        sem.register(sig, root_id, &root_func);
-        sem
-    });
-    let frontier = vec![FrontierEntry { id: root_id, func: root_func }];
-    Search {
-        task,
-        space: Arc::new(space),
-        stats: SearchStats::default(),
-        paranoid_bytes,
-        sem,
-        start: Instant::now(),
-        level_start: Instant::now(),
-        level: 0,
-        slots: frontier.iter().map(|_| None).collect(),
-        frontier,
-        claimed: 0,
-        filled: 0,
-        session_expanded: 0,
-    }
-}
-
-/// Rebuilds a suspended search from its checkpoint so expansion
-/// continues exactly where it left off.
+/// Rebuilds a search from a checkpoint so expansion continues exactly
+/// where it left off — the only way a search opens.
 ///
 /// The checkpoint persists only the space topology; everything derived
 /// from function *bodies* is regrown by replaying discovery sequences
@@ -733,30 +660,39 @@ fn fresh_search<'a>(ctx: &Ctx<'a>, task: usize) -> Search<'a> {
 /// instances themselves, the canonical byte table in paranoid mode, and
 /// — under the semantic tier — the signature classes, re-registered for
 /// every founder in id order (discovery order), reproducing the exact
-/// class table the original run had at this barrier. Search counters
-/// resume from the record's persisted values, so the completed record's
-/// statistics equal an uncapped run's.
-fn restore_search<'a>(ctx: &Ctx<'a>, task: usize, rec: &FunctionRecord) -> Search<'a> {
-    let fs = rec.frontier.as_ref().expect("restoring a search without a checkpoint");
-    let config = &ctx.config.enumerate;
-    let root = ctx.tasks[task].func;
+/// class table the original run had at this barrier. `stats` carries the
+/// search counters from the checkpoint's record, so the completed
+/// record's statistics equal an uncapped run's.
+fn restore_search<'a>(
+    ctx: &Ctx<'a>,
+    task: usize,
+    stats: SearchStats,
+    fs: &FrontierState,
+) -> Search<'a> {
+    let FunctionTask { func: root, program, .. } = &ctx.tasks[task];
     let mut space = SearchSpace::new();
     for node in &fs.nodes {
         space.insert(node.clone());
     }
     let remat = |id: NodeId| rematerialize(root, ctx.target, &space, id);
     let mut paranoid_bytes = HashMap::new();
-    if config.paranoid {
+    if ctx.config.enumerate.paranoid {
         for (id, node) in space.iter() {
             paranoid_bytes.insert((node.fp, node.flags), canon::canonical_bytes(&remat(id)));
         }
     }
-    let sem = ctx.semantic(task).map(|mut sem| {
+    let sem = ctx.config.semantic.as_ref().map(|sc| {
+        let program = program.as_deref().expect("semantic campaign tasks must carry their program");
+        let mut sem = SemanticContext::new(program, root, sc, ctx.config.enumerate.paranoid);
+        if ctx.config.sem_pruned {
+            sem.enable_pruning();
+        }
         // Pruned nodes are never founders (their `sem_rep` resolves
         // through the parent's pruned edge), so the founder walk below
         // re-registers only representatives — rebuilding the exact class
-        // table the original run had at this barrier. Class membership
-        // of merged nodes lives in the space's own merge edges.
+        // table the original run had at this barrier; the root founds
+        // the first class. Class membership of merged nodes lives in the
+        // space's own merge edges.
         for id in space.iter().map(|(id, _)| id).filter(|&id| space.sem_rep(id) == id) {
             let func = Arc::new(remat(id));
             let sig = sem.signature(&func);
@@ -769,19 +705,6 @@ fn restore_search<'a>(ctx: &Ctx<'a>, task: usize, rec: &FunctionRecord) -> Searc
         .iter()
         .map(|&id| FrontierEntry { id: NodeId(id), func: Arc::new(remat(NodeId(id))) })
         .collect();
-    let stats = SearchStats {
-        attempted_phases: rec.attempted_phases,
-        active_attempts: rec.active_attempts,
-        phases_applied: rec.phases_applied,
-        // Wall time is not persisted (it never reaches store bytes).
-        elapsed: Duration::ZERO,
-        collisions: rec.collisions,
-        sem_merges: rec.sem_merges,
-        sem_collisions: rec.sem_collisions,
-        sem_escalations: rec.sem_escalations,
-        sem_prunes: rec.sem_prunes,
-        sem_mask_fallbacks: rec.sem_mask_fallbacks,
-    };
     Search {
         task,
         space: Arc::new(space),
@@ -871,7 +794,7 @@ fn deposit(
     }
     tm.levels.inc();
     tm.level_wall_ns.observe(s.level_start.elapsed());
-    let name = ctx.tasks[task].name;
+    let name = &ctx.tasks[task].name;
     ctx.observer.level_completed(name, s.level, next.len(), s.space.len());
     ctx.observer.session_progress(name, s.level, s.session_expanded);
     let over_budget = ctx.config.budget.is_some_and(|b| s.session_expanded >= b);
@@ -908,15 +831,14 @@ fn deposit(
         st.enumerations[task] = Some(e);
         return frontier;
     }
-    let record = FunctionRecord::from_enumeration(name.to_owned(), ctx.tasks[task].func, &e);
+    let record = FunctionRecord::from_enumeration(name.clone(), &ctx.tasks[task].func, &e);
     st.completed[task] = Some(record.clone());
     st.fresh += 1;
-    if !flush_store(ctx, st) {
-        return frontier;
-    }
-    ctx.observer.function_done(task, ctx.tasks.len(), &record);
-    if ctx.config.stop_after == Some(st.fresh) {
-        st.halt = true;
+    if flush_store(ctx, st) {
+        ctx.observer.function_done(task, ctx.tasks.len(), &record);
+        if ctx.config.stop_after == Some(st.fresh) {
+            st.halt = true;
+        }
     }
     frontier
 }
@@ -945,15 +867,14 @@ fn suspend(ctx: &Ctx<'_>, st: &mut DriverState<'_>, pos: usize, frontier_ids: Ve
         stats: SearchStats { elapsed: s.start.elapsed(), ..s.stats },
     };
     let t = &ctx.tasks[task];
-    let mut record = FunctionRecord::from_enumeration(t.name.to_owned(), t.func, &e);
+    let mut record = FunctionRecord::from_enumeration(t.name.clone(), &t.func, &e);
     record.frontier = Some(fs);
     st.completed[task] = Some(record.clone());
     st.suspended += 1;
     crate::telemetry::global().campaign_functions_suspended.inc();
-    if !flush_store(ctx, st) {
-        return;
+    if flush_store(ctx, st) {
+        ctx.observer.function_suspended(task, ctx.tasks.len(), &record);
     }
-    ctx.observer.function_suspended(task, ctx.tasks.len(), &record);
 }
 
 /// Suspends every in-flight search (cancellation path). Each search is
@@ -974,7 +895,6 @@ fn suspend_all(ctx: &Ctx<'_>, st: &mut DriverState<'_>) {
 /// failed.
 fn flush_store(ctx: &Ctx<'_>, st: &mut DriverState<'_>) -> bool {
     let Some(path) = ctx.store_path else { return true };
-    let tm = crate::telemetry::global();
     let snapshot = ResultStore {
         config: store::ConfigEcho::of(
             &ctx.config.enumerate,
@@ -983,12 +903,8 @@ fn flush_store(ctx: &Ctx<'_>, st: &mut DriverState<'_>) -> bool {
         ),
         records: st.completed.iter().flatten().cloned().collect(),
     };
-    let flush_start = Instant::now();
-    match snapshot.save(path) {
+    match save_store(&snapshot, path) {
         Ok(()) => {
-            tm.store_flush_wall_ns.observe(flush_start.elapsed());
-            tm.store_flushes.inc();
-            tm.store_bytes.set(std::fs::metadata(path).map(|m| m.len()).unwrap_or(0));
             ctx.observer.store_flushed(snapshot.records.len(), ctx.tasks.len());
             true
         }
@@ -997,6 +913,19 @@ fn flush_store(ctx: &Ctx<'_>, st: &mut DriverState<'_>) -> bool {
             false
         }
     }
+}
+
+/// Writes `store` to `path` ([`ResultStore::save`]) and counts the flush
+/// in the `campaign.store_*` metrics. Campaign checkpoints and the memo
+/// daemon's shard flushes both persist through it.
+pub fn save_store(store: &ResultStore, path: &Path) -> Result<(), StoreError> {
+    let start = Instant::now();
+    store.save(path)?;
+    let tm = crate::telemetry::global();
+    tm.store_flush_wall_ns.observe(start.elapsed());
+    tm.store_flushes.inc();
+    tm.store_bytes.set(std::fs::metadata(path).map(|m| m.len()).unwrap_or(0));
+    Ok(())
 }
 
 #[cfg(test)]

@@ -34,11 +34,12 @@ use std::io::Write as _;
 use std::path::Path;
 
 use vpo_opt::PhaseId;
-use vpo_rtl::canon::Fingerprint;
+use vpo_rtl::canon::{self, Fingerprint};
+use vpo_rtl::cfg::control_flow_signature;
 use vpo_rtl::crc;
 use vpo_rtl::{FuncFlags, Function};
 
-use crate::enumerate::{sequence_letters, Config, Enumeration, ReplayMode};
+use crate::enumerate::{sequence_letters, Config, Enumeration, ReplayMode, SearchStats};
 use crate::semantic::SemanticConfig;
 use crate::space::{Node, NodeId};
 use crate::wire::{self, Reader, WireError};
@@ -286,6 +287,27 @@ pub struct FrontierState {
 }
 
 impl FrontierState {
+    /// The level-0 checkpoint of a search of `f` that has not started:
+    /// the unoptimized root as the only node and the only frontier entry.
+    /// Every search opens by restoring a checkpoint, this one included.
+    pub(crate) fn root(f: &Function) -> FrontierState {
+        let root = Node {
+            fp: canon::fingerprint(f),
+            flags: f.flags,
+            level: 0,
+            inst_count: f.inst_count() as u32,
+            cf_sig: control_flow_signature(f),
+            active_mask: 0,
+            children: Vec::new(),
+            sem_children: Vec::new(),
+            pruned_children: Vec::new(),
+            pruned: false,
+            discovered_from: None,
+            weight: 0,
+        };
+        FrontierState { level: 0, nodes: vec![root], frontier: vec![0] }
+    }
+
     fn encode(&self, out: &mut Vec<u8>) {
         wire::put_u32(out, self.level);
         wire::put_u32(out, self.nodes.len() as u32);
@@ -439,6 +461,24 @@ impl FunctionRecord {
             best_sequence,
             best_insts,
             frontier: None,
+        }
+    }
+
+    /// The search counters a suspended search resumes from — the inverse
+    /// of the copy [`FunctionRecord::from_enumeration`] makes. Wall time
+    /// is not persisted (it never reaches store bytes).
+    pub(crate) fn search_stats(&self) -> SearchStats {
+        SearchStats {
+            attempted_phases: self.attempted_phases,
+            active_attempts: self.active_attempts,
+            phases_applied: self.phases_applied,
+            elapsed: std::time::Duration::ZERO,
+            collisions: self.collisions,
+            sem_merges: self.sem_merges,
+            sem_collisions: self.sem_collisions,
+            sem_escalations: self.sem_escalations,
+            sem_prunes: self.sem_prunes,
+            sem_mask_fallbacks: self.sem_mask_fallbacks,
         }
     }
 

@@ -42,11 +42,11 @@ use std::time::Duration;
 
 use vpo_opt::facts::Facts;
 use vpo_opt::{attempt, PhaseId, Target};
-use vpo_rtl::canon::{self, Canonicalizer, Fingerprint};
+use vpo_rtl::canon::{Canonicalizer, Fingerprint};
 use vpo_rtl::cfg::control_flow_signature;
 use vpo_rtl::{FuncFlags, Function, Program};
 
-use crate::campaign::{enumerate_tasks, CampaignConfig, TaskRef};
+use crate::campaign::{enumerate_all, CampaignConfig, FunctionTask};
 use crate::request::MergeTier;
 use crate::semantic::{Resolution, SemanticConfig, SemanticContext};
 use crate::space::{Node, NodeId, SearchSpace};
@@ -183,6 +183,7 @@ pub struct Enumeration {
 /// and the campaign driver hands entries to workers without deep-copying
 /// under its scheduler lock. Naive replay reads the node's discovery
 /// sequence off the space instead.
+#[derive(Clone)]
 pub(crate) struct FrontierEntry {
     pub(crate) id: NodeId,
     pub(crate) func: Arc<Function>,
@@ -589,36 +590,6 @@ pub(crate) fn merge_parent(
     complete
 }
 
-/// Seeds a fresh space with the unoptimized root instance — the
-/// level-zero setup of every search.
-pub(crate) fn seed_root(
-    space: &mut SearchSpace,
-    paranoid_bytes: &mut HashMap<(Fingerprint, FuncFlags), Vec<u8>>,
-    config: &Config,
-    f: &Function,
-) -> NodeId {
-    let fp = canon::fingerprint(f);
-    let root = space.insert(Node {
-        fp,
-        flags: f.flags,
-        level: 0,
-        inst_count: f.inst_count() as u32,
-        cf_sig: control_flow_signature(f),
-        active_mask: 0,
-        children: Vec::new(),
-        sem_children: Vec::new(),
-        pruned_children: Vec::new(),
-        pruned: false,
-        discovered_from: None,
-        weight: 0,
-    });
-    if config.paranoid {
-        paranoid_bytes.insert((fp, f.flags), canon::canonical_bytes(f));
-    }
-    crate::telemetry::global().nodes_inserted.inc();
-    root
-}
-
 /// Rebuilds the function instance of a node by replaying its discovery
 /// sequence from the unoptimized `root`, exactly as naive replay would.
 /// Spaces keep only topology, so this recovers any instance: frontier
@@ -687,9 +658,9 @@ pub fn enumerate_semantic_pruned(
 /// one entry point behind [`enumerate`] and [`enumerate_semantic_pruned`].
 ///
 /// The search runs on the campaign driver ([`crate::campaign`]) as a
-/// single task with no store and no budget, over [`Config::jobs`]
-/// workers. `program` supplies callees and the globals layout for
-/// signature execution; the fingerprint tier ignores it.
+/// one-task [`enumerate_all`] with no store and no budget, over
+/// [`Config::jobs`] workers. `program` supplies callees and the globals
+/// layout for signature execution; the fingerprint tier ignores it.
 ///
 /// Under [`MergeTier::Semantic`] (`--merge-tier semantic`),
 /// fingerprint-fresh instances are additionally keyed by their
@@ -731,8 +702,12 @@ pub fn enumerate_tier(
         sem_pruned: tier == MergeTier::SemanticPruned,
         ..CampaignConfig::default()
     };
-    let task = [TaskRef { name: &f.name, func: f, program }];
-    let e = enumerate_tasks(&task, target, &campaign).remove(0);
+    let task = FunctionTask {
+        name: f.name.clone(),
+        func: f.clone(),
+        program: program.filter(|_| tier.is_semantic()).map(|p| Arc::new(p.clone())),
+    };
+    let e = enumerate_all(&[task], target, &campaign).remove(0);
     if !e.outcome.is_complete() {
         tm.searches_truncated.inc();
     }
@@ -759,6 +734,8 @@ pub fn sequence_letters(seq: &[PhaseId]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::store::FrontierState;
+    use vpo_rtl::canon;
 
     fn compile_fn(src: &str) -> Function {
         vpo_frontend::compile(src).unwrap().functions.remove(0)
@@ -938,7 +915,10 @@ mod tests {
             let mut space = SearchSpace::new();
             let mut stats = SearchStats::default();
             let mut paranoid_bytes = HashMap::new();
-            let root = seed_root(&mut space, &mut paranoid_bytes, &config, f);
+            let root = space.insert(FrontierState::root(f).nodes.remove(0));
+            if paranoid {
+                paranoid_bytes.insert((canon::fingerprint(f), f.flags), canon::canonical_bytes(f));
+            }
             let root_func = Arc::new(f.clone());
             let mut sem = SemanticContext::new(&program, f, &sem_config, paranoid);
             let sig = sem.signature(f);

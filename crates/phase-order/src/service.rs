@@ -150,8 +150,9 @@ pub enum Response {
         level: u32,
         /// Merged parents expanded so far this session.
         expanded: u64,
-        /// Expansion budget remaining this session (`u64::MAX` when
-        /// the request carried no budget).
+        /// Expansion budget remaining this session. Every cold session
+        /// runs under a budget: the request's own, or else the daemon's
+        /// `--budget`.
         remaining: u64,
     },
 }

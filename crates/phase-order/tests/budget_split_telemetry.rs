@@ -1,0 +1,108 @@
+//! Enumeration telemetry over budget-split sessions: a campaign that is
+//! suspended at budget barriers and resumed to completion ticks every
+//! deterministic `enumerate.*` counter exactly as often as one uncapped
+//! run does. Restored nodes tick nothing and the root ticks once, so no
+//! session re-counts the work an earlier session recorded.
+//!
+//! The telemetry registry is process-global, so this file holds a single
+//! test: no other search runs between its snapshots.
+
+use std::path::PathBuf;
+use std::sync::Arc;
+
+use phase_order::campaign::{run, CampaignConfig, FunctionTask, NullObserver};
+use phase_order::{telemetry, SemanticConfig};
+use vpo_opt::Target;
+
+const BUDGET: u64 = 25;
+
+fn bitcount_tasks() -> Vec<FunctionTask> {
+    let program = Arc::new(mibench::find("bitcount").unwrap().compile().unwrap());
+    program
+        .functions
+        .iter()
+        .map(|f| FunctionTask {
+            name: format!("bitcount::{}", f.name),
+            func: f.clone(),
+            program: Some(Arc::clone(&program)),
+        })
+        .collect()
+}
+
+/// How much each deterministic `enumerate.*` counter grew while `work`
+/// ran. `enumerate.peak_frontier` is a high-water gauge, not a sum, so it
+/// is left out.
+fn enumerate_counters(work: impl FnOnce()) -> Vec<(&'static str, u64)> {
+    let before = telemetry::global().snapshot();
+    work();
+    telemetry::global()
+        .snapshot()
+        .deterministic_values()
+        .into_iter()
+        .filter(|(name, _)| name.starts_with("enumerate.") && *name != "enumerate.peak_frontier")
+        .map(|(name, v)| (name, v - before.value(name).unwrap()))
+        .collect()
+}
+
+fn tmp_store(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("vpoc_split_telemetry_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("{tag}.store"));
+    std::fs::remove_file(&path).ok();
+    path
+}
+
+#[test]
+fn enumeration_counters_add_up_over_budget_split_sessions() {
+    let target = Target::default();
+    let tiers = [("fingerprint", None, false), ("pruned", Some(SemanticConfig::default()), true)];
+    for (tier, semantic, sem_pruned) in tiers {
+        for jobs in [0usize, 2] {
+            let base = CampaignConfig {
+                jobs,
+                semantic: semantic.clone(),
+                sem_pruned,
+                ..Default::default()
+            };
+            let mut instances = 0;
+            let uncapped = enumerate_counters(|| {
+                let s = run(bitcount_tasks(), &target, None, &base, &NullObserver).unwrap();
+                instances = s.records.iter().map(|r| r.fn_instances).sum();
+            });
+            // Every node of every space, roots included, is inserted once.
+            let inserted = uncapped.iter().find(|(n, _)| *n == "enumerate.nodes_inserted");
+            assert_eq!(inserted.map(|&(_, v)| v), Some(instances), "{tier} jobs {jobs}");
+
+            let path = tmp_store(&format!("{tier}_j{jobs}"));
+            let mut split = vec![0u64; uncapped.len()];
+            let mut sessions = 0;
+            loop {
+                let config =
+                    CampaignConfig { budget: Some(BUDGET), resume: path.exists(), ..base.clone() };
+                let mut done = false;
+                let delta = enumerate_counters(|| {
+                    let s = run(bitcount_tasks(), &target, Some(&path), &config, &NullObserver)
+                        .unwrap();
+                    done = s.records.iter().all(|r| !r.is_resumable());
+                });
+                for (sum, (_, v)) in split.iter_mut().zip(delta) {
+                    *sum += v;
+                }
+                sessions += 1;
+                assert!(sessions < 200, "{tier} jobs {jobs}: budgeted sessions must converge");
+                if done {
+                    break;
+                }
+            }
+            assert!(sessions > 1, "{tier} jobs {jobs}: budget {BUDGET} must split the campaign");
+            for ((name, want), got) in uncapped.iter().zip(&split) {
+                assert_eq!(
+                    got, want,
+                    "{tier} jobs {jobs}: `{name}` summed over {sessions} sessions differs from \
+                     one uncapped run"
+                );
+            }
+            std::fs::remove_file(&path).ok();
+        }
+    }
+}
