@@ -6,9 +6,12 @@
 //!   identical-instance DAG, as node counts for a real function;
 //! * `fig3` — different optimizations producing the same code;
 //! * `fig5` — register/label remapping detecting equivalent instances;
-//! * `fig6` — naive re-evaluation vs the prefix-sharing enhancements;
+//! * `fig6` — naive re-evaluation vs the prefix-sharing enhancements,
+//!   as phase applications and wall time over finished spaces;
 //! * `fig7` — a weighted DAG in Graphviz syntax;
-//! * `fig8` — a probabilistic-compilation trace.
+//! * `fig8` — a probabilistic-compilation trace;
+//! * `ablation` — leaf code-size spread under direct-only vs robust
+//!   register allocation, and the attempts the Figure 2 shortcut saves.
 //!
 //! ```text
 //! cargo run --release -p bench --bin figures -- [table1|table2|fig1|...]
@@ -16,14 +19,21 @@
 //! With no argument, everything prints in order. `--jobs` is accepted
 //! but unused: every figure enumerates a small space serially.
 
-use phase_order::enumerate::{enumerate, sequence_letters, Config, ReplayMode};
-use phase_order::interaction::InteractionAnalysis;
-use phase_order::prob::{probabilistic_compile, ProbTables};
-use vpo_opt::{attempt, PhaseId, Target};
-use vpo_rtl::canon;
+use std::time::{Duration, Instant};
 
-const SELECTORS: [&str; 10] =
-    ["table1", "table2", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8"];
+use phase_order::enumerate::{enumerate, sequence_letters, Config};
+use phase_order::interaction::InteractionAnalysis;
+use phase_order::oracle::materialize_all;
+use phase_order::prob::{probabilistic_compile, ProbTables};
+use phase_order::SearchSpace;
+use vpo_opt::facts::Facts;
+use vpo_opt::{attempt, PhaseId, Target};
+use vpo_rtl::canon::{self, Canonicalizer};
+use vpo_rtl::Function;
+
+const SELECTORS: [&str; 11] = [
+    "table1", "table2", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "ablation",
+];
 
 fn main() {
     let args = bench::Args::from_env("figures", &SELECTORS);
@@ -52,6 +62,9 @@ fn main() {
     }
     if all || which == "fig8" {
         fig8();
+    }
+    if all || which == "ablation" {
+        ablation();
     }
 }
 
@@ -127,14 +140,12 @@ fn figs_1_2_4() {
     println!();
 }
 
-/// Finds a node with at least two parents in `space` and returns two
-/// distinct phase sequences from the root that reach it.
-fn converging_sequences(
-    space: &phase_order::SearchSpace,
-) -> Option<(Vec<PhaseId>, Vec<PhaseId>, phase_order::NodeId)> {
-    // Scan edges for one that reaches an already-discovered node through a
-    // different parent (a convergence edge).
-    let mut best: Option<(Vec<PhaseId>, Vec<PhaseId>, phase_order::NodeId)> = None;
+/// Every convergence edge of `space` — an edge reaching an
+/// already-discovered node through a different parent — as the node's
+/// discovery sequence and the distinct sequence through that edge, in
+/// node and phase order.
+fn convergences(space: &SearchSpace) -> Vec<(Vec<PhaseId>, Vec<PhaseId>, phase_order::NodeId)> {
+    let mut out = Vec::new();
     for (uid, u) in space.iter() {
         for &(phase, v) in &u.children {
             let discovered = space.node(v).discovered_from;
@@ -143,20 +154,15 @@ fn converging_sequences(
                 let mut via_here = space.discovery_sequence(uid);
                 via_here.push(phase);
                 if via_discovery != via_here {
-                    let cand = (via_discovery, via_here, v);
-                    // Prefer the shortest demonstration.
-                    let len = cand.0.len() + cand.1.len();
-                    if best.as_ref().map(|(a, b, _)| a.len() + b.len() > len).unwrap_or(true) {
-                        best = Some(cand);
-                    }
+                    out.push((via_discovery, via_here, v));
                 }
             }
         }
     }
-    best
+    out
 }
 
-fn replay(f: &vpo_rtl::Function, seq: &[PhaseId], target: &Target) -> vpo_rtl::Function {
+fn replay(f: &Function, seq: &[PhaseId], target: &Target) -> Function {
     let mut g = f.clone();
     for &p in seq {
         attempt(&mut g, p, target);
@@ -174,7 +180,9 @@ fn fig3() {
     let p = vpo_frontend::compile(src).unwrap();
     let target = Target::default();
     let e = enumerate(&p.functions[0], &target, &Config::default());
-    let Some((seq_a, seq_b, node)) = converging_sequences(&e.space) else {
+    // Prefer the shortest demonstration.
+    let shortest = convergences(&e.space).into_iter().min_by_key(|(a, b, _)| a.len() + b.len());
+    let Some((seq_a, seq_b, node)) = shortest else {
         println!("no convergence found (space too small)\n");
         return;
     };
@@ -209,37 +217,26 @@ fn fig5() {
     let target = Target::default();
     let e = enumerate(&p.functions[0], &target, &Config::default());
     // Search all convergences for a textual mismatch.
-    let mut shown = false;
-    'outer: for (uid, u) in e.space.iter() {
-        for &(phase, v) in &u.children {
-            let discovered = e.space.node(v).discovered_from;
-            if discovered == Some((uid, phase)) || discovered.is_none() {
-                continue;
-            }
-            let seq_a = e.space.discovery_sequence(v);
-            let mut seq_b = e.space.discovery_sequence(uid);
-            seq_b.push(phase);
-            let fa = replay(&p.functions[0], &seq_a, &target);
-            let fb = replay(&p.functions[0], &seq_b, &target);
-            if fa != fb {
-                println!(
-                    "orders `{}` and `{}` produce textually different code:",
-                    sequence_letters(&seq_a),
-                    sequence_letters(&seq_b)
-                );
-                println!("(a)\n{fa}");
-                println!("(b)\n{fb}");
-                println!(
-                    "canonically equal after register/label remapping: {}",
-                    canon::canonically_equal(&fa, &fb)
-                );
-                shown = true;
-                break 'outer;
-            }
+    let root = &p.functions[0];
+    let shown = convergences(&e.space).into_iter().find_map(|(seq_a, seq_b, _)| {
+        let (fa, fb) = (replay(root, &seq_a, &target), replay(root, &seq_b, &target));
+        (fa != fb).then_some((seq_a, seq_b, fa, fb))
+    });
+    match shown {
+        Some((seq_a, seq_b, fa, fb)) => {
+            println!(
+                "orders `{}` and `{}` produce textually different code:",
+                sequence_letters(&seq_a),
+                sequence_letters(&seq_b)
+            );
+            println!("(a)\n{fa}");
+            println!("(b)\n{fb}");
+            println!(
+                "canonically equal after register/label remapping: {}",
+                canon::canonically_equal(&fa, &fb)
+            );
         }
-    }
-    if !shown {
-        println!("every convergence here was already textually identical");
+        None => println!("every convergence here was already textually identical"),
     }
     println!();
 }
@@ -248,34 +245,89 @@ fn fig6() {
     println!("Figure 6: Enhancements for Faster Searches");
     println!("(naive per-sequence re-evaluation vs prefix-sharing)");
     let target = Target::default();
-    println!("{:<22} {:>12} {:>12} {:>7}", "function", "naive-apps", "shared-apps", "factor");
-    let mut shown = 0;
-    for sf in bench::suite_functions() {
-        if sf.function.inst_count() > 60 {
-            continue; // keep the naive mode affordable
-        }
-        let fast = enumerate(&sf.function, &target, &Config::default());
-        if !fast.outcome.is_complete() || fast.space.len() > 3000 {
-            continue;
-        }
-        let slow = enumerate(
-            &sf.function,
-            &target,
-            &Config { replay: ReplayMode::NaiveReplay, ..Config::default() },
-        );
+    println!(
+        "{:<22} {:>12} {:>12} {:>7} {:>10} {:>10} {:>7}",
+        "function", "naive-apps", "shared-apps", "factor", "naive-ms", "shared-ms", "wall"
+    );
+    // At most 60 instructions keeps the naive pass affordable.
+    let spaces = bench::suite_functions()
+        .into_iter()
+        .filter(|sf| sf.function.inst_count() <= 60)
+        .map(|sf| (enumerate(&sf.function, &target, &Config::default()), sf))
+        .filter(|(e, _)| e.outcome.is_complete() && e.space.len() <= 3000);
+    for (e, sf) in spaces.take(8) {
+        let parents = materialize_all(&e.space, &sf.function, &target);
+        let pass = |naive| min_wall(|| evaluate(&e.space, &sf.function, &parents, &target, naive));
+        let ((naive_apps, naive_wall), (shared_apps, shared_wall)) = (pass(true), pass(false));
+        let ms = |d: Duration| d.as_secs_f64() * 1e3;
         println!(
-            "{:<22} {:>12} {:>12} {:>6.1}x",
+            "{:<22} {:>12} {:>12} {:>6.1}x {:>10.3} {:>10.3} {:>6.1}x",
             sf.display,
-            slow.stats.phases_applied,
-            fast.stats.phases_applied,
-            slow.stats.phases_applied as f64 / fast.stats.phases_applied as f64
+            naive_apps,
+            shared_apps,
+            naive_apps as f64 / shared_apps as f64,
+            ms(naive_wall),
+            ms(shared_wall),
+            naive_wall.as_secs_f64() / shared_wall.as_secs_f64()
         );
-        shown += 1;
-        if shown >= 8 {
-            break;
-        }
     }
     println!("(the paper reports a 5–10x reduction)\n");
+}
+
+/// Times `pass`, repeating it until the repetitions add up to 50 ms, and
+/// returns its result with the fastest wall time: one scheduling hiccup
+/// on a sub-millisecond pass cannot flip a ratio, and a long pass runs
+/// once.
+fn min_wall(mut pass: impl FnMut() -> u64) -> (u64, Duration) {
+    let (mut best, mut total) = (Duration::MAX, Duration::ZERO);
+    loop {
+        let t0 = Instant::now();
+        let apps = pass();
+        let wall = t0.elapsed();
+        (best, total) = (best.min(wall), total + wall);
+        if total >= Duration::from_millis(50) {
+            return (apps, best);
+        }
+    }
+}
+
+/// One evaluation pass over a finished space: every node's attempts, as
+/// the search makes them, with provably dormant phases skipped by the
+/// same [`Facts`] prefilter. A candidate starts as a copy of its
+/// materialized parent (prefix sharing) or, when `naive`, as a copy of
+/// the root with the parent's discovery sequence replayed onto it; then
+/// the phase is applied and an active result fingerprinted. Returns the
+/// phase applications the strategy pays for: one per attempt when
+/// sharing, one plus the parent's level when naive, counting prefiltered
+/// attempts as if they ran.
+fn evaluate(
+    space: &SearchSpace,
+    root: &Function,
+    parents: &[Function],
+    target: &Target,
+    naive: bool,
+) -> u64 {
+    let mut buf = Function::default();
+    let mut canon = Canonicalizer::new();
+    let mut apps = 0;
+    for ((id, _), parent) in space.iter().zip(parents) {
+        let prefix = if naive { space.discovery_sequence(id) } else { Vec::new() };
+        let facts = Facts::of(parent);
+        for phase in PhaseId::ALL {
+            apps += 1 + prefix.len() as u64;
+            if !phase.can_be_active(&facts) {
+                continue;
+            }
+            buf.copy_from(if naive { root } else { parent });
+            for &p in &prefix {
+                attempt(&mut buf, p, target);
+            }
+            if attempt(&mut buf, phase, target).active {
+                std::hint::black_box(canon.fingerprint_into(&buf));
+            }
+        }
+    }
+    apps
 }
 
 fn fig7() {
@@ -308,5 +360,48 @@ fn fig8() {
         stats.active,
         sequence_letters(&stats.sequence)
     );
+    println!();
+}
+
+/// The allocator and Figure 2 shortcut ablations (DESIGN §2) on the first
+/// six suite functions of 20–60 instructions.
+fn ablation() {
+    println!("Ablation: register-allocator strictness and the Figure 2 shortcut");
+    let robust = Target { regalloc_requires_direct: false, ..Target::default() };
+    let skip = Config { skip_just_applied: true, ..Config::default() };
+    // Leaf code-size spread, in percent of the smallest leaf.
+    let spread = |e: &phase_order::Enumeration| {
+        e.space.leaf_code_size_range().map_or(0.0, |(lo, hi)| (hi - lo) as f64 * 100.0 / lo as f64)
+    };
+    println!(
+        "{:<22} {:>13} {:>9} {:>12} {:>10} {:>7}",
+        "function", "direct-spread", "robust", "attempt-all", "skip-just", "saved"
+    );
+    let targets: Vec<_> = bench::suite_functions()
+        .into_iter()
+        .filter(|sf| (20..=60).contains(&sf.function.inst_count()))
+        .take(6)
+        .collect();
+    let (mut direct_sum, mut robust_sum) = (0.0, 0.0);
+    for sf in &targets {
+        let direct = enumerate(&sf.function, &Target::default(), &Config::default());
+        let (d, r) =
+            (spread(&direct), spread(&enumerate(&sf.function, &robust, &Config::default())));
+        (direct_sum, robust_sum) = (direct_sum + d, robust_sum + r);
+        let all = direct.stats.attempted_phases;
+        let skipped = enumerate(&sf.function, &Target::default(), &skip).stats.attempted_phases;
+        println!(
+            "{:<22} {:>12.1}% {:>8.1}% {:>12} {:>10} {:>6.1}%",
+            sf.display,
+            d,
+            r,
+            all,
+            skipped,
+            (all - skipped) as f64 * 100.0 / all as f64
+        );
+    }
+    let n = targets.len() as f64;
+    let (direct, robust) = (direct_sum / n, robust_sum / n);
+    println!("leaf code-size spread: direct-only {direct:.1}% vs robust {robust:.1}%");
     println!();
 }

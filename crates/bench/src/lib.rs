@@ -1,11 +1,10 @@
-//! Shared harness for the table/figure regeneration binaries and the
-//! two microbenches.
+//! Shared code for the table/figure regeneration binaries and the perf
+//! suite.
 //!
 //! See `DESIGN.md` (experiment index) for which binary regenerates which
 //! table or figure of the paper, and DESIGN.md §9 for the perf suite
 //! built on [`json`] and [`perf`].
 
-pub mod harness;
 pub mod json;
 pub mod perf;
 

@@ -87,14 +87,9 @@ impl PerfReport {
             out.push_str(&format!("      \"name\": \"{}\",\n", w.name));
             out.push_str(&format!("      \"median_ns\": {},\n", w.median_ns()));
             out.push_str(&format!("      \"iqr_ns\": {},\n", w.iqr_ns()));
-            out.push_str("      \"trials_ns\": [");
-            for (j, t) in w.trials_ns.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&t.to_string());
-            }
-            out.push_str("],\n      \"counters\": [\n");
+            let trials: Vec<String> = w.trials_ns.iter().map(u64::to_string).collect();
+            out.push_str(&format!("      \"trials_ns\": [{}],\n", trials.join(", ")));
+            out.push_str("      \"counters\": [\n");
             for (j, (name, value)) in w.counters.iter().enumerate() {
                 out.push_str(&format!("        [\"{name}\", {value}]"));
                 if j + 1 < w.counters.len() {

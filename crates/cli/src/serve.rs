@@ -121,6 +121,10 @@ struct Daemon {
     /// persists in.
     shards: Vec<Shard>,
     shard_of_task: Vec<usize>,
+    /// Each shard file's size after its last flush. The lock orders the
+    /// `campaign.store_bytes` updates, so the last one sums every
+    /// shard's final size.
+    shard_bytes: Mutex<Vec<u64>>,
     /// In-flight cold queries by task index, for cross-client dedup.
     inflight: Mutex<HashMap<usize, Arc<Inflight>>>,
     admission: Mutex<Admission>,
@@ -157,7 +161,8 @@ impl Daemon {
     }
 
     /// Writes one shard's store (its records in task order) — the same
-    /// bytes an uncapped serial run over these tasks converges on.
+    /// bytes an uncapped serial run over these tasks converges on — and
+    /// sets `campaign.store_bytes` to the size of the whole memo on disk.
     /// Writers of other shards proceed in parallel.
     fn flush_shard(&self, shard: usize) -> Result<(), String> {
         let s = &self.shards[shard];
@@ -172,7 +177,12 @@ impl Daemon {
                 out.records.push((*rec).clone());
             }
         }
-        campaign::save_store(&out, &s.path).map_err(|e| e.to_string())
+        campaign::save_store(&out, &s.path).map_err(|e| e.to_string())?;
+        let len = std::fs::metadata(&s.path).map_err(|e| e.to_string())?.len();
+        let mut sizes = self.shard_bytes.lock().unwrap();
+        sizes[shard] = len;
+        telemetry::global().store_bytes.set(sizes.iter().sum());
+        Ok(())
     }
 
     /// The daemon's backoff hint for an [`Response::Overloaded`]: scale
@@ -276,6 +286,7 @@ pub fn serve_cmd(argv: &[String]) -> Result<(), String> {
         tasks,
         shards,
         shard_of_task,
+        shard_bytes: Mutex::new(vec![0; nshards]),
         inflight: Mutex::new(HashMap::new()),
         admission: Mutex::new(Admission::default()),
         adm_cv: Condvar::new(),

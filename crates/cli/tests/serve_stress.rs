@@ -96,13 +96,13 @@ fn telemetry_json(socket: &Path) -> String {
     }
 }
 
-/// A named counter out of the telemetry snapshot JSON.
-fn counter(json: &str, name: &str) -> u64 {
-    let needle = format!("\"name\": \"{name}\", \"kind\": \"counter\"");
+/// A named counter or gauge out of the telemetry snapshot JSON.
+fn metric(json: &str, name: &str) -> u64 {
+    let needle = format!("\"name\": \"{name}\", ");
     let line = json
         .lines()
         .find(|l| l.contains(&needle))
-        .unwrap_or_else(|| panic!("no counter `{name}` in telemetry:\n{json}"));
+        .unwrap_or_else(|| panic!("no metric `{name}` in telemetry:\n{json}"));
     let v = line.split("\"value\": ").nth(1).unwrap();
     v.chars().take_while(|c| c.is_ascii_digit()).collect::<String>().parse().unwrap()
 }
@@ -223,6 +223,11 @@ fn sharded_stress_stays_byte_identical_to_serial_and_survives_sigkill() {
     // Restart on the same stores and deplete under full concurrency.
     let mut daemon = spawn_daemon(&store, &socket, SERVE_ARGS);
     deplete_concurrently(&socket, &names, 6);
+    // The store-size gauge covers the whole memo, not the shard flushed
+    // last.
+    let on_disk: u64 =
+        (0..4).map(|k| std::fs::metadata(shard_path(&store, k, 4)).unwrap().len()).sum();
+    assert_eq!(metric(&telemetry_json(&socket), "campaign.store_bytes"), on_disk);
     let (_, bye) = exchange(&socket, &Request::Shutdown);
     assert!(matches!(bye, Response::ShuttingDown));
     assert!(daemon.wait().unwrap().success());
@@ -286,10 +291,10 @@ fn duplicate_concurrent_cold_queries_cost_one_enumeration() {
     // Exactly one enumeration ran; its expansion count is the whole
     // cost. Attached/warm duplicates spent zero expansions.
     let json = telemetry_json(&socket);
-    let cold_runs = counter(&json, "serve.cold_runs");
-    let cold_expanded = counter(&json, "serve.cold_expanded");
-    let attached = counter(&json, "serve.dedup_attached");
-    let warm = counter(&json, "serve.warm_hits");
+    let cold_runs = metric(&json, "serve.cold_runs");
+    let cold_expanded = metric(&json, "serve.cold_expanded");
+    let attached = metric(&json, "serve.dedup_attached");
+    let warm = metric(&json, "serve.warm_hits");
     assert_eq!(cold_runs, 1, "duplicate queries must share one enumeration\n{json}");
     assert_eq!(attached + warm, 2, "the other two clients attach or hit warm\n{json}");
     let served_expanded: Vec<u64> = results
@@ -308,7 +313,7 @@ fn duplicate_concurrent_cold_queries_cost_one_enumeration() {
     // just the terminal frame.
     let progress_streams = results.iter().filter(|(n, _)| *n > 0).count();
     assert!(progress_streams <= 1, "attached clients must not receive progress frames");
-    assert_eq!(counter(&json, "serve.progress_frames") > 0, progress_streams == 1);
+    assert_eq!(metric(&json, "serve.progress_frames") > 0, progress_streams == 1);
 
     let (_, bye) = exchange(&socket, &Request::Shutdown);
     assert!(matches!(bye, Response::ShuttingDown));

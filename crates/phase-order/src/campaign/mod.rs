@@ -57,7 +57,7 @@ use vpo_rtl::{FuncFlags, Function, Program};
 
 use crate::enumerate::{
     expand_parent, merge_parent, rematerialize, AttemptRecord, Config, Enumeration, ExpandScratch,
-    FrontierEntry, ReplayMode, SearchOutcome, SearchStats,
+    FrontierEntry, SearchOutcome, SearchStats,
 };
 use crate::semantic::{SemanticConfig, SemanticContext};
 use crate::space::{NodeId, SearchSpace};
@@ -265,8 +265,7 @@ struct Job {
     /// Frontier index of the first claimed parent.
     first: usize,
     /// The claimed parents in frontier order. Their discovery edges
-    /// (the phase not to re-attempt, the sequence naive replay rebuilds
-    /// them from) are read off `space`.
+    /// (the phase not to re-attempt) are read off `space`.
     parents: Vec<FrontierEntry>,
     space: Arc<SearchSpace>,
 }
@@ -552,16 +551,10 @@ fn worker(ctx: &Ctx<'_>) {
                 } else {
                     None
                 };
-                let seq = match config.replay {
-                    ReplayMode::NaiveReplay => job.space.discovery_sequence(parent.id),
-                    ReplayMode::PrefixSharing => Vec::new(),
-                };
                 expand_parent(
-                    &ctx.tasks[job.task].func,
                     ctx.target,
                     config,
                     &parent.func,
-                    &seq,
                     skip,
                     // The merge decides insertion against the real space;
                     // this only decides whether the candidate's body is

@@ -14,11 +14,13 @@
 //!
 //! All integers are little-endian ([`crate::wire`] holds the shared
 //! helpers). The *config echo* freezes every [`Config`] field that
-//! influences results (`max_nodes`, `max_level_width`, replay mode, the
-//! Figure 2 shortcut, paranoid mode — but not `jobs`, which never
-//! changes results): a resumed campaign refuses a store written under
-//! different bounds, because its records would not be byte-identical to
-//! an uninterrupted run under the new bounds.
+//! influences results (`max_nodes`, `max_level_width`, the Figure 2
+//! shortcut, paranoid mode — but not `jobs`, which never changes
+//! results): a resumed campaign refuses a store written under different
+//! bounds, because its records would not be byte-identical to an
+//! uninterrupted run under the new bounds. The echo's third byte once
+//! selected naive replay; it is always `0` now, and a store that sets it
+//! is refused.
 //!
 //! Writers never append: [`ResultStore::save`] rewrites the whole file
 //! through a temporary sibling and an atomic rename, with records in
@@ -39,7 +41,7 @@ use vpo_rtl::cfg::control_flow_signature;
 use vpo_rtl::crc;
 use vpo_rtl::{FuncFlags, Function};
 
-use crate::enumerate::{sequence_letters, Config, Enumeration, ReplayMode, SearchStats};
+use crate::enumerate::{sequence_letters, Config, Enumeration, SearchStats};
 use crate::semantic::SemanticConfig;
 use crate::space::{Node, NodeId};
 use crate::wire::{self, Reader, WireError};
@@ -129,8 +131,6 @@ pub struct ConfigEcho {
     pub max_nodes: u64,
     /// [`Config::max_level_width`].
     pub max_level_width: u64,
-    /// [`Config::replay`] (`0` = prefix sharing, `1` = naive replay).
-    pub replay: u8,
     /// [`Config::skip_just_applied`].
     pub skip_just_applied: bool,
     /// [`Config::paranoid`].
@@ -161,10 +161,6 @@ impl ConfigEcho {
         ConfigEcho {
             max_nodes: config.max_nodes as u64,
             max_level_width: config.max_level_width as u64,
-            replay: match config.replay {
-                ReplayMode::PrefixSharing => 0,
-                ReplayMode::NaiveReplay => 1,
-            },
             skip_just_applied: config.skip_just_applied,
             paranoid: config.paranoid,
             semantic: semantic.is_some(),
@@ -388,8 +384,6 @@ pub struct FunctionRecord {
     pub attempted_phases: u64,
     /// Attempts that were active.
     pub active_attempts: u64,
-    /// Phase applications, including replay overhead.
-    pub phases_applied: u64,
     /// Fingerprint collisions (paranoid mode; expected 0).
     pub collisions: u64,
     /// Fingerprint-fresh instances merged by the semantic tier (0 under
@@ -450,7 +444,6 @@ impl FunctionRecord {
             code_max,
             attempted_phases: e.stats.attempted_phases,
             active_attempts: e.stats.active_attempts,
-            phases_applied: e.stats.phases_applied,
             collisions: e.stats.collisions,
             sem_merges: e.stats.sem_merges,
             sem_collisions: e.stats.sem_collisions,
@@ -471,7 +464,6 @@ impl FunctionRecord {
         SearchStats {
             attempted_phases: self.attempted_phases,
             active_attempts: self.active_attempts,
-            phases_applied: self.phases_applied,
             elapsed: std::time::Duration::ZERO,
             collisions: self.collisions,
             sem_merges: self.sem_merges,
@@ -571,7 +563,11 @@ impl FunctionRecord {
         wire::put_u32(out, self.max_seq_len);
         wire::put_u32(out, self.code_min);
         wire::put_u32(out, self.code_max);
-        for v in [self.attempted_phases, self.active_attempts, self.phases_applied, self.collisions]
+        // The layout keeps a third counter slot (naive replay's phase
+        // applications); prefix sharing always stored `attempted_phases`
+        // there, so writing it keeps every store byte-identical.
+        for v in
+            [self.attempted_phases, self.active_attempts, self.attempted_phases, self.collisions]
         {
             wire::put_u64(out, v);
         }
@@ -605,7 +601,7 @@ impl FunctionRecord {
         let max_seq_len = r.u32()?;
         let code_min = r.u32()?;
         let code_max = r.u32()?;
-        let [attempted_phases, active_attempts, phases_applied, collisions] =
+        let [attempted_phases, active_attempts, _, collisions] =
             [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
         // Version-1 records predate the semantic tier; they were all
         // produced with it off, so zero is the faithful value.
@@ -653,7 +649,6 @@ impl FunctionRecord {
             code_max,
             attempted_phases,
             active_attempts,
-            phases_applied,
             collisions,
             sem_merges,
             sem_collisions,
@@ -739,7 +734,9 @@ impl ResultStore {
         wire::put_u32(&mut out, VERSION);
         wire::put_u64(&mut out, self.config.max_nodes);
         wire::put_u64(&mut out, self.config.max_level_width);
-        out.push(self.config.replay);
+        // The replay-mode byte: always prefix sharing, the only mode this
+        // build runs (`from_bytes` refuses any other value).
+        out.push(0);
         out.push(self.config.skip_just_applied as u8);
         out.push(self.config.paranoid as u8);
         out.push(self.config.semantic as u8);
@@ -772,10 +769,15 @@ impl ResultStore {
                 "format version {version}, this build reads 1..={VERSION}"
             )));
         }
+        let (max_nodes, max_level_width) = (r.u64()?, r.u64()?);
+        if r.u8()? != 0 {
+            return Err(StoreError::ConfigMismatch(
+                "store was written under naive replay, which this build no longer runs".into(),
+            ));
+        }
         let mut config = ConfigEcho {
-            max_nodes: r.u64()?,
-            max_level_width: r.u64()?,
-            replay: r.u8()?,
+            max_nodes,
+            max_level_width,
             skip_just_applied: r.u8()? != 0,
             paranoid: r.u8()? != 0,
             // Version-1 stores predate the semantic tier; it was off.
@@ -933,7 +935,6 @@ mod tests {
             code_max: 35,
             attempted_phases: 123_456 + seed,
             active_attempts: 4_321,
-            phases_applied: 123_456 + seed,
             collisions: 0,
             sem_merges: seed * 3,
             sem_collisions: 0,
@@ -1165,7 +1166,7 @@ mod tests {
         wire::put_u32(&mut out, version);
         wire::put_u64(&mut out, s.config.max_nodes);
         wire::put_u64(&mut out, s.config.max_level_width);
-        out.push(s.config.replay);
+        out.push(0);
         out.push(s.config.skip_just_applied as u8);
         out.push(s.config.paranoid as u8);
         out.push(s.config.semantic as u8);
@@ -1191,7 +1192,7 @@ mod tests {
             for v in [
                 rec.attempted_phases,
                 rec.active_attempts,
-                rec.phases_applied,
+                rec.attempted_phases,
                 rec.collisions,
                 rec.sem_merges,
                 rec.sem_collisions,
@@ -1403,7 +1404,7 @@ mod tests {
         assert_eq!((rec.insts, rec.blocks, rec.branches, rec.loops), (92, 1, 0, 0));
         assert_eq!((rec.fn_instances, rec.leaves, rec.control_flows), (11, 3, 1));
         assert_eq!((rec.max_seq_len, rec.code_min, rec.code_max), (4, 49, 71));
-        assert_eq!((rec.attempted_phases, rec.active_attempts, rec.phases_applied), (165, 11, 165));
+        assert_eq!((rec.attempted_phases, rec.active_attempts), (165, 11));
         assert_eq!(rec.active_counts, [0, 3, 0, 0, 3, 0, 0, 1, 0, 0, 0, 0, 0, 4, 0]);
         assert_eq!((rec.best_sequence.as_str(), rec.best_insts), ("sksc", 49));
         assert!(rec.frontier.is_none());
@@ -1437,6 +1438,19 @@ mod tests {
             "pruned nodes never expand"
         );
         assert_eq!(s.to_bytes(), V4_PRUNED_SUSPENDED, "re-encoding must be byte-identical");
+    }
+
+    #[test]
+    fn naive_replay_stores_are_refused() {
+        // The echo's third byte follows magic, version and the two bounds.
+        let at = MAGIC.len() + 4 + 8 + 8;
+        assert_eq!(V4_FINGERPRINT[at], 0, "prefix-sharing stores carry 0");
+        let mut bytes = V4_FINGERPRINT.to_vec();
+        bytes[at] = 1;
+        match ResultStore::from_bytes(&bytes) {
+            Err(StoreError::ConfigMismatch(msg)) => assert!(msg.contains("naive replay"), "{msg}"),
+            other => panic!("a naive-replay store must be refused, got {other:?}"),
+        }
     }
 
     #[test]

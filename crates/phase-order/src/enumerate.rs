@@ -16,11 +16,11 @@
 //!    first-encounter order) and fingerprinted with (instruction count,
 //!    byte sum, CRC-32); known instances merge the tree into a DAG.
 //!
-//! The **prefix-sharing** evaluation strategy of Section 4.3 keeps each
-//! frontier instance materialized so a child costs exactly one phase
-//! application; the naive strategy (kept for the Figure 6 experiment)
-//! replays the whole active sequence from the unoptimized function for
-//! every attempt.
+//! Candidates are evaluated by **prefix sharing** (Section 4.3), the only
+//! evaluation strategy: each frontier instance stays materialized, so a
+//! child costs exactly one phase application. Figure 6's naive baseline,
+//! which replays the whole active sequence from the unoptimized function
+//! for every attempt, is measured over a finished space by `figures fig6`.
 //!
 //! # Parallel enumeration
 //!
@@ -51,18 +51,6 @@ use crate::request::MergeTier;
 use crate::semantic::{Resolution, SemanticConfig, SemanticContext};
 use crate::space::{Node, NodeId, SearchSpace};
 
-/// How child instances are produced from their parents.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum ReplayMode {
-    /// Keep frontier instances in memory; apply exactly one phase per
-    /// attempt (the Section 4.3 enhancement).
-    #[default]
-    PrefixSharing,
-    /// Rebuild every instance from the unoptimized function by replaying
-    /// its discovery sequence (the naive strategy of Figure 6(a)).
-    NaiveReplay,
-}
-
 /// Enumeration limits and options.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Config {
@@ -73,8 +61,6 @@ pub struct Config {
     /// aborts *before* an insertion would exceed it, so `space.len()`
     /// never exceeds this value.
     pub max_nodes: usize,
-    /// Evaluation strategy (see [`ReplayMode`]).
-    pub replay: ReplayMode,
     /// Verify fingerprint hits by full canonical-byte comparison and
     /// record any collision (none have ever been observed, matching the
     /// paper). In this mode the canonical bytes of *every* node are
@@ -98,7 +84,6 @@ impl Default for Config {
         Config {
             max_level_width: 1_000_000,
             max_nodes: 4_000_000,
-            replay: ReplayMode::PrefixSharing,
             paranoid: false,
             skip_just_applied: false,
             jobs: 0,
@@ -125,7 +110,7 @@ impl SearchOutcome {
     }
 }
 
-/// Evaluation-cost counters (the Figure 6 comparison) and search totals.
+/// Search totals.
 #[derive(Clone, Debug, Default)]
 pub struct SearchStats {
     /// Optimization phases attempted, including dormant ones (`Attempt
@@ -133,10 +118,6 @@ pub struct SearchStats {
     pub attempted_phases: u64,
     /// Attempts that were active.
     pub active_attempts: u64,
-    /// Total phase *applications* performed, including replay overhead —
-    /// equals `attempted_phases` under prefix sharing, and is 5–10× larger
-    /// under naive replay (Section 4.3).
-    pub phases_applied: u64,
     /// Wall-clock duration of the search.
     pub elapsed: Duration,
     /// Fingerprint collisions detected in paranoid mode (expected 0).
@@ -181,8 +162,7 @@ pub struct Enumeration {
 /// One instance awaiting expansion: its node and its materialized
 /// function. The function is shared, not owned: expansion only reads it,
 /// and the campaign driver hands entries to workers without deep-copying
-/// under its scheduler lock. Naive replay reads the node's discovery
-/// sequence off the space instead.
+/// under its scheduler lock.
 #[derive(Clone)]
 pub(crate) struct FrontierEntry {
     pub(crate) id: NodeId,
@@ -254,13 +234,10 @@ impl ExpandScratch {
 /// instead of carried (pure memory optimization — the merge step decides
 /// insertion independently). `scratch` is the calling worker's reusable
 /// expansion state.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn expand_parent(
-    root: &Function,
     target: &Target,
     config: &Config,
     parent_fn: &Function,
-    parent_seq: &[PhaseId],
     skip: Option<PhaseId>,
     mut known: impl FnMut(Fingerprint, FuncFlags) -> bool,
     scratch: &mut ExpandScratch,
@@ -285,16 +262,7 @@ pub(crate) fn expand_parent(
         if *warm {
             reuse_hits += 1;
         }
-        match config.replay {
-            ReplayMode::PrefixSharing => buf.copy_from(parent_fn),
-            ReplayMode::NaiveReplay => {
-                // Rebuild from the unoptimized function.
-                buf.copy_from(root);
-                for &p in parent_seq {
-                    attempt(buf, p, target);
-                }
-            }
-        }
+        buf.copy_from(parent_fn);
         *warm = true;
         if !attempt(buf, phase, target).active {
             records.push(AttemptRecord::Dormant { prefiltered: false });
@@ -389,12 +357,6 @@ pub(crate) fn merge_parent(
     mut sem: Option<&mut SemanticContext<'_>>,
 ) -> bool {
     let tm = crate::telemetry::global();
-    // Naive replay re-applies the parent's whole discovery sequence,
-    // whose length is the parent's level.
-    let replay_cost = match config.replay {
-        ReplayMode::NaiveReplay => space.node(parent.id).level as u64,
-        ReplayMode::PrefixSharing => 0,
-    };
     let mut active_mask = 0u16;
     let mut children = Vec::new();
     let mut sem_edges = Vec::new();
@@ -469,12 +431,6 @@ pub(crate) fn merge_parent(
             AttemptRecord::Dormant { .. } => None,
         };
         stats.attempted_phases += 1;
-        // `phases_applied` is the Figure 6 *cost model* of the chosen
-        // replay strategy: one application per attempt plus the replay
-        // overhead. It deliberately counts prefiltered attempts as if
-        // they had run, so the counter is prefilter-independent; the work
-        // actually saved is reported by `enumerate.prefilter_dormant`.
-        stats.phases_applied += 1 + replay_cost;
         tm_attempted += 1;
         let (phase, fp, flags, inst_count, cf_sig, func, mut bytes) = match record {
             AttemptRecord::Dormant { prefiltered } => {
@@ -591,7 +547,7 @@ pub(crate) fn merge_parent(
 }
 
 /// Rebuilds the function instance of a node by replaying its discovery
-/// sequence from the unoptimized `root`, exactly as naive replay would.
+/// sequence from the unoptimized `root`.
 /// Spaces keep only topology, so this recovers any instance: frontier
 /// resume, the audit and dynamic-count inference all use it.
 pub fn rematerialize(
@@ -778,23 +734,6 @@ mod tests {
     }
 
     #[test]
-    fn naive_replay_explores_identical_space_at_higher_cost() {
-        let f = compile_fn("int f(int a) { return a * 4 + 2; }");
-        let t = Target::default();
-        let fast = enumerate(&f, &t, &Config::default());
-        let slow =
-            enumerate(&f, &t, &Config { replay: ReplayMode::NaiveReplay, ..Config::default() });
-        assert_eq!(fast.space.len(), slow.space.len());
-        assert_eq!(fast.stats.attempted_phases, slow.stats.attempted_phases);
-        assert!(
-            slow.stats.phases_applied > fast.stats.phases_applied,
-            "naive replay must apply more phases: {} vs {}",
-            slow.stats.phases_applied,
-            fast.stats.phases_applied
-        );
-    }
-
-    #[test]
     fn paranoid_mode_sees_no_collisions() {
         let f = compile_fn("int f(int a, int b) { if (a > b) return a - b; return b - a; }");
         let e = enumerate(&f, &Target::default(), &Config { paranoid: true, ..Config::default() });
@@ -842,7 +781,6 @@ mod tests {
             assert_eq!(par.space.leaf_count(), serial.space.leaf_count(), "jobs={jobs}");
             assert_eq!(par.stats.attempted_phases, serial.stats.attempted_phases);
             assert_eq!(par.stats.active_attempts, serial.stats.active_attempts);
-            assert_eq!(par.stats.phases_applied, serial.stats.phases_applied);
             for (id, n) in serial.space.iter() {
                 let m = par.space.node(id);
                 assert_eq!(m.fp, n.fp, "jobs={jobs} node {id}");

@@ -85,7 +85,7 @@ pub mod wire;
 
 pub use enumerate::{
     enumerate, enumerate_semantic_pruned, enumerate_tier, jobs_per_cpu, Config, Enumeration,
-    ReplayMode, SearchOutcome,
+    SearchOutcome,
 };
 pub use semantic::{SemanticConfig, SemanticContext, Signature, StructuralKey};
 pub use space::{NodeId, SearchSpace};

@@ -258,7 +258,8 @@ pub struct Telemetry {
     pub campaign_steals: Counter,
     /// Checkpoint rewrites of the result store.
     pub store_flushes: Counter,
-    /// Size of the last flushed store, in bytes.
+    /// Size of the last flushed store, in bytes; for a sharded memo
+    /// daemon, the summed size of all its shard files.
     pub store_bytes: Gauge,
     /// Wall time per store flush (serialize + write + rename).
     pub store_flush_wall_ns: Histogram,

@@ -38,10 +38,6 @@ fn assert_identical(name: &str, jobs: usize, serial: &Enumeration, par: &Enumera
         par.stats.active_attempts, serial.stats.active_attempts,
         "{name} jobs={jobs}: active attempts"
     );
-    assert_eq!(
-        par.stats.phases_applied, serial.stats.phases_applied,
-        "{name} jobs={jobs}: phases applied"
-    );
     assert_eq!(par.stats.collisions, serial.stats.collisions, "{name} jobs={jobs}: collisions");
     for (id, n) in serial.space.iter() {
         let m = par.space.node(id);

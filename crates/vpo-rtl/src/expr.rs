@@ -311,14 +311,6 @@ impl Expr {
         }
     }
 
-    /// Returns the register if the expression is a register leaf.
-    pub fn as_reg(&self) -> Option<Reg> {
-        match self {
-            Expr::Reg(r) => Some(*r),
-            _ => None,
-        }
-    }
-
     /// Returns `true` if the expression contains a memory load anywhere.
     pub fn reads_memory(&self) -> bool {
         let mut found = false;

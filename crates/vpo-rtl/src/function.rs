@@ -2,7 +2,7 @@
 
 use crate::expr::{Expr, SymId, Width};
 use crate::inst::Inst;
-use crate::{Reg, RegClass};
+use crate::Reg;
 
 /// A basic-block label. Labels are unique within a function and are
 /// remapped during canonicalization, so their numeric values carry no
@@ -198,11 +198,6 @@ impl Function {
         r
     }
 
-    /// Number of pseudo registers ever created.
-    pub fn pseudo_count(&self) -> u16 {
-        self.next_pseudo
-    }
-
     /// Allocates a fresh label (does not create a block).
     pub fn new_label(&mut self) -> Label {
         let l = Label(self.next_label);
@@ -312,18 +307,6 @@ impl Function {
             }
         });
         out
-    }
-
-    /// Highest hard-register index in use, if any. Phases that need a fresh
-    /// hard register pick indices above this (subject to the target limit).
-    pub fn max_hard_reg(&self) -> Option<u16> {
-        let mut max = None;
-        self.visit_regs(|r| {
-            if r.class == RegClass::Hard {
-                max = max.max(Some(r.index));
-            }
-        });
-        max
     }
 
     /// Recomputes the `addr_taken` flag of every local by scanning all uses
@@ -459,11 +442,6 @@ impl Program {
     /// Finds a function by name.
     pub fn function(&self, name: &str) -> Option<&Function> {
         self.functions.iter().find(|f| f.name == name)
-    }
-
-    /// Finds a function by name, mutably.
-    pub fn function_mut(&mut self, name: &str) -> Option<&mut Function> {
-        self.functions.iter_mut().find(|f| f.name == name)
     }
 }
 

@@ -96,11 +96,6 @@ impl Reg {
         Reg { class: RegClass::Hard, index }
     }
 
-    /// Returns `true` if this is a pseudo register.
-    pub fn is_pseudo(&self) -> bool {
-        self.class == RegClass::Pseudo
-    }
-
     /// Returns `true` if this is a hard register.
     pub fn is_hard(&self) -> bool {
         self.class == RegClass::Hard

@@ -66,12 +66,6 @@ impl Rng {
         result
     }
 
-    /// Returns the next 32 pseudo-random bits (the high half, which has
-    /// the better-mixed bits of the ++ scrambler).
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform value in `[0, n)`. `n` must be non-zero.
     ///
     /// Uses Lemire's widening-multiply method with rejection, so the

@@ -4,16 +4,20 @@
 //! the public `SearchSpace` API alone and shares no code with the driver:
 //! a fresh deep clone and a fresh fingerprint per attempt, every phase
 //! attempted (no dormancy prefilter), and each parent merged the moment
-//! it is expanded rather than at a level barrier.
+//! it is expanded rather than at a level barrier. Spaces keep only
+//! topology, so the file also checks that replaying a node's discovery
+//! sequence from the root rebuilds the instance the search produced.
 
 use std::collections::HashMap;
 
 use exhaustive_phase_order as epo;
 
 use epo::explore::enumerate::{
-    enumerate, Config, Enumeration, ReplayMode, SearchOutcome, SearchStats,
+    enumerate, enumerate_tier, rematerialize, Config, Enumeration, SearchOutcome, SearchStats,
 };
+use epo::explore::request::MergeTier;
 use epo::explore::space::{Node, NodeId, SearchSpace};
+use epo::explore::SemanticConfig;
 use epo::opt::facts::Facts;
 use epo::opt::{attempt, PhaseId, Target};
 use epo::rtl::canon;
@@ -51,29 +55,20 @@ fn reference(f: &Function, target: &Target, config: &Config) -> Enumeration {
     if config.paranoid {
         bytes.insert((space.node(root).fp, f.flags), canon::canonical_bytes(f));
     }
-    let mut frontier = vec![(root, f.clone(), Vec::new())];
+    let mut frontier = vec![(root, f.clone())];
     let mut outcome = SearchOutcome::Complete;
     let mut level = 0;
     'search: while !frontier.is_empty() {
         level += 1;
         let mut next = Vec::new();
-        for (id, parent, seq) in &frontier {
+        for (id, parent) in &frontier {
             let skip = config
                 .skip_just_applied
                 .then(|| space.node(*id).discovered_from.map(|(_, p)| p))
                 .flatten();
             let (mut mask, mut children) = (0u16, Vec::new());
             for phase in PhaseId::ALL.into_iter().filter(|&p| Some(p) != skip) {
-                let mut g = match config.replay {
-                    ReplayMode::PrefixSharing => parent.clone(),
-                    ReplayMode::NaiveReplay => {
-                        let mut g = f.clone();
-                        for &p in seq {
-                            attempt(&mut g, p, target);
-                        }
-                        g
-                    }
-                };
+                let mut g = parent.clone();
                 let active = attempt(&mut g, phase, target).active;
                 let key = active.then(|| (canon::fingerprint(&g), g.flags));
                 let found = key.map(|(fp, flags)| space.find(fp, flags));
@@ -82,8 +77,6 @@ fn reference(f: &Function, target: &Target, config: &Config) -> Enumeration {
                     break;
                 }
                 stats.attempted_phases += 1;
-                // Naive replay pays for re-applying the discovery sequence.
-                stats.phases_applied += 1 + seq.len() as u64;
                 let (Some(key), Some(found)) = (key, found) else { continue };
                 stats.active_attempts += 1;
                 mask |= 1 << phase.index();
@@ -99,11 +92,7 @@ fn reference(f: &Function, target: &Target, config: &Config) -> Enumeration {
                         if config.paranoid {
                             bytes.insert(key, canon::canonical_bytes(&g));
                         }
-                        let mut child_seq = seq.clone();
-                        if config.replay == ReplayMode::NaiveReplay {
-                            child_seq.push(phase);
-                        }
-                        next.push((child, g, child_seq));
+                        next.push((child, g));
                         child
                     }
                 };
@@ -142,7 +131,6 @@ fn assert_identical(name: &str, a: &Enumeration, b: &Enumeration) {
     assert_eq!(a.outcome, b.outcome, "{name}: outcome");
     assert_eq!(a.stats.attempted_phases, b.stats.attempted_phases, "{name}: attempted");
     assert_eq!(a.stats.active_attempts, b.stats.active_attempts, "{name}: active");
-    assert_eq!(a.stats.phases_applied, b.stats.phases_applied, "{name}: applied");
     assert_eq!(a.stats.collisions, b.stats.collisions, "{name}: collisions");
     assert_eq!(a.space.len(), b.space.len(), "{name}: node count");
     assert_eq!(a.space.leaf_count(), b.space.leaf_count(), "{name}: leaf count");
@@ -176,16 +164,14 @@ fn driver_matches_serial_reference_for_every_job_count() {
 
 #[test]
 fn driver_matches_reference_in_every_mode_and_under_bounds() {
-    // Naive replay rebuilds every candidate from the root, and paranoid
-    // mode feeds the byte check from the driver's reusable
+    // Paranoid mode feeds the byte check from the driver's reusable
     // canonicalizer. The bounds are part of the contract too: a
     // `max_nodes` cap lands on the same attempt, and a level-width cap on
     // the same parent.
     let target = Target::default();
     let paranoid = Config { paranoid: true, ..Config::default() };
     let configs = [
-        paranoid.clone(),
-        Config { replay: ReplayMode::NaiveReplay, ..paranoid },
+        paranoid,
         Config { max_nodes: 7, ..Config::default() },
         Config { max_level_width: 3, ..Config::default() },
     ];
@@ -199,6 +185,32 @@ fn driver_matches_reference_in_every_mode_and_under_bounds() {
             }
         }
     }
+}
+
+#[test]
+fn rematerialize_reproduces_every_node() {
+    // Resume, the audit and dynamic-count inference rebuild instances
+    // with `rematerialize`; it must land on the very instance prefix
+    // sharing produced, under both tiers that expand different sub-DAGs.
+    let target = Target::default();
+    let sem = SemanticConfig::default();
+    let mut checked = 0;
+    for b in epo::benchmarks::all() {
+        let program = b.compile().unwrap();
+        for f in program.functions.iter().filter(|f| f.inst_count() <= 35) {
+            for tier in [MergeTier::Fingerprint, MergeTier::SemanticPruned] {
+                let e = enumerate_tier(tier, Some(&program), f, &target, &Config::default(), &sem);
+                for (id, n) in e.space.iter() {
+                    let g = rematerialize(f, &target, &e.space, id);
+                    let at = format!("{}::{} {tier:?} node {id}", b.name, f.name);
+                    assert_eq!(canon::fingerprint(&g), n.fp, "{at}: fingerprint");
+                    assert_eq!(g.flags, n.flags, "{at}: flags");
+                    checked += 1;
+                }
+            }
+        }
+    }
+    assert!(checked > 0, "no node was rematerialized");
 }
 
 #[test]

@@ -3,7 +3,7 @@
 
 use exhaustive_phase_order as epo;
 
-use epo::explore::enumerate::{enumerate, Config, ReplayMode};
+use epo::explore::enumerate::{enumerate, Config};
 use epo::explore::NodeId;
 use epo::opt::{attempt, PhaseId, Target};
 
@@ -121,25 +121,6 @@ fn every_instance_is_reachable_and_legal() {
             );
             target.check_function(&g).unwrap_or_else(|err| panic!("{name}: {err}"));
         }
-    }
-}
-
-#[test]
-fn naive_replay_and_prefix_sharing_agree() {
-    let target = Target::default();
-    for (name, f) in sample_functions(35) {
-        let fast = enumerate(&f, &target, &Config::default());
-        let slow = enumerate(
-            &f,
-            &target,
-            &Config { replay: ReplayMode::NaiveReplay, ..Config::default() },
-        );
-        assert_eq!(fast.space.len(), slow.space.len(), "{name}");
-        assert_eq!(fast.space.leaf_count(), slow.space.leaf_count(), "{name}");
-        assert!(
-            slow.stats.phases_applied >= fast.stats.phases_applied,
-            "{name}: replay should cost at least as much"
-        );
     }
 }
 
