@@ -259,18 +259,24 @@ fn run_suite(opts: &Options) -> Result<PerfReport, String> {
         // Pruned tier on the same kernel: prices the subsumption
         // lookahead against the annotation row above and pins the
         // `enumerate.sem_subsumption_prunes` / `sem_mask_fallbacks`
-        // counters — nonzero here, zero everywhere else.
-        workloads.push(run_workload(
-            "semantic-pruned/bitcount::bit_count/serial",
-            opts.trials,
-            4,
-            metrics_dir,
-            || {
-                std::hint::black_box(enumerate_semantic_pruned(
-                    &program, f, &target, &config, &sem,
-                ));
-            },
-        )?);
+        // counters — nonzero here, zero everywhere else. With two jobs
+        // the level barriers' sign stages run on both workers; every
+        // counter, `sim.batched_retires` included, equals the serial
+        // row's.
+        for (mode, jobs) in [("serial", 0usize), ("jobs2", 2)] {
+            let config = Config { jobs, ..Config::default() };
+            workloads.push(run_workload(
+                &format!("semantic-pruned/bitcount::bit_count/{mode}"),
+                opts.trials,
+                4,
+                metrics_dir,
+                || {
+                    std::hint::black_box(enumerate_semantic_pruned(
+                        &program, f, &target, &config, &sem,
+                    ));
+                },
+            )?);
+        }
     }
 
     // Campaign: every function of bitcount over a two-worker pool,

@@ -6,10 +6,14 @@
 
 #![cfg(unix)]
 
+mod common;
+
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
+
+use common::Daemon;
 
 const BENCH: &str = "bitcount";
 const MAX_NODES: &str = "400";
@@ -24,7 +28,7 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn spawn_daemon(store: &Path, socket: &Path) -> Child {
+fn spawn_daemon(store: &Path, socket: &Path) -> Daemon {
     let child = vpoc()
         .args([
             "serve",
@@ -40,8 +44,9 @@ fn spawn_daemon(store: &Path, socket: &Path) -> Child {
         .stderr(Stdio::null())
         .spawn()
         .unwrap();
+    let daemon = Daemon(child);
     wait_for_socket(socket);
-    child
+    daemon
 }
 
 fn wait_for_socket(socket: &Path) {

@@ -15,11 +15,15 @@
 
 #![cfg(unix)]
 
+mod common;
+
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::process::{Command, Stdio};
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
+
+use common::Daemon;
 
 use phase_order::campaign::store::{shard_of, shard_path, ResultStore};
 use phase_order::service::{Request, Response, Served};
@@ -35,7 +39,7 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn spawn_daemon(store: &Path, socket: &Path, extra: &[&str]) -> Child {
+fn spawn_daemon(store: &Path, socket: &Path, extra: &[&str]) -> Daemon {
     let child = vpoc()
         .args([
             "serve",
@@ -47,8 +51,9 @@ fn spawn_daemon(store: &Path, socket: &Path, extra: &[&str]) -> Child {
         .stderr(Stdio::null())
         .spawn()
         .unwrap();
+    let daemon = Daemon(child);
     wait_for_socket(socket);
-    child
+    daemon
 }
 
 fn wait_for_socket(socket: &Path) {

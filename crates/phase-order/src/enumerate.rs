@@ -32,9 +32,12 @@
 //! worker that deposits the level's last parent **merges** the
 //! per-parent attempt records in frontier order, phase order, so node
 //! ids, `active_mask`s, edges, weights and [`SearchStats`] counters are
-//! bit-identical for any job count. The same driver runs multi-function
-//! campaigns, stealing parent expansions across functions; one
-//! expand/merge core serves both.
+//! bit-identical for any job count. On a semantic merge tier, a parallel
+//! sign stage runs between the two: the level's fingerprint-fresh
+//! candidates are simulated by the workers, and the merge consumes their
+//! signatures. The same driver runs multi-function campaigns, stealing
+//! parent expansions across functions; one expand/merge core serves
+//! both.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -48,7 +51,7 @@ use vpo_rtl::{FuncFlags, Function, Program};
 
 use crate::campaign::{enumerate_all, CampaignConfig, FunctionTask};
 use crate::request::MergeTier;
-use crate::semantic::{Resolution, SemanticConfig, SemanticContext};
+use crate::semantic::{Resolution, SemanticConfig, SemanticContext, Signature};
 use crate::space::{Node, NodeId, SearchSpace};
 
 /// Enumeration limits and options.
@@ -190,10 +193,15 @@ pub(crate) enum AttemptRecord {
         /// The candidate function — carried only when the identity is
         /// neither in the space nor already carried by the producing
         /// worker in this level, a superset of the occurrences the merge
-        /// step actually inserts.
-        func: Option<Function>,
+        /// step actually inserts. Shared, so the sign stage can simulate
+        /// it while the record waits for the merge.
+        func: Option<Arc<Function>>,
         /// Canonical serialization, present iff `Config::paranoid`.
         bytes: Option<Vec<u8>>,
+        /// The behavioral signature, filled in by the campaign's sign
+        /// stage on a semantic tier for each fingerprint-fresh identity's
+        /// first occurrence in frontier order; `None` otherwise.
+        sig: Option<Signature>,
     },
 }
 
@@ -284,9 +292,18 @@ pub(crate) fn expand_parent(
             // the candidate must outlive the attempt, so the scratch
             // buffer is stolen (the next restore starts cold).
             *warm = false;
-            Some(std::mem::take(buf))
+            Some(Arc::new(std::mem::take(buf)))
         };
-        records.push(AttemptRecord::Active { phase, fp, flags, inst_count, cf_sig, func, bytes });
+        records.push(AttemptRecord::Active {
+            phase,
+            fp,
+            flags,
+            inst_count,
+            cf_sig,
+            func,
+            bytes,
+            sig: None,
+        });
     }
     if reuse_hits > 0 || bytes_reused > 0 {
         let tm = crate::telemetry::global();
@@ -302,7 +319,7 @@ enum SemResolution {
     /// Semantic tier disabled.
     Off,
     /// The signature founded a new class: register the node under it.
-    Founder(crate::semantic::Signature),
+    Founder(Signature),
     /// The signature matched an established class (surviving escalation
     /// in paranoid mode). Under the annotation tier (`pruned: false`)
     /// the node is inserted *and expanded* exactly as under the
@@ -330,13 +347,16 @@ enum Disposition {
 /// Folds one parent's attempt records into the space, in phase order —
 /// the single code path that assigns node ids and counts statistics,
 /// and (when `sem` is given) the only place the semantic merge tier
-/// runs: merge happens serially
-/// in frontier order even under parallel enumeration, so signature
-/// computation and class lookups inherit the bit-identical-for-any-job-
-/// count guarantee without any extra synchronization. The semantic tier
-/// never changes which nodes exist or how they connect — the space is
-/// bit-identical to the fingerprint tier's — it only *annotates* the
-/// quotient (sem edges, class counts) on top.
+/// decides: merge happens serially in frontier order even under parallel
+/// enumeration, so class lookups, paranoid escalation and the pruned
+/// tier's lookahead inherit the bit-identical-for-any-job-count
+/// guarantee without any extra synchronization. The signatures
+/// themselves are not computed here: each fingerprint-fresh record
+/// arrives carrying the one the sign stage computed for it
+/// ([`crate::semantic`]). The annotation tier never changes which nodes
+/// exist or how they connect — the space is bit-identical to the
+/// fingerprint tier's — it only *annotates* the quotient (sem edges,
+/// class counts) on top.
 ///
 /// Returns `false` if the `max_nodes` cap was hit: the search is
 /// truncated just *before* the offending attempt (its phase is neither
@@ -368,15 +388,15 @@ pub(crate) fn merge_parent(
         (0u64, 0u64, 0u64, 0u64, 0u64);
     let (mut tm_sem_hits, mut tm_sem_collisions, mut tm_sem_escalations) = (0u64, 0u64, 0u64);
     let (mut tm_sem_prunes, mut tm_sem_fallbacks) = (0u64, 0u64);
-    for record in records {
+    for mut record in records {
         // Resolve the identity once per active record: the same
         // resolution drives the cap check here and the edge recording
         // below. The semantic tier runs only on fingerprint misses — a
-        // fingerprint-fresh candidate's signature is computed and either
-        // matches an established class (merge: no insertion, a dashed
-        // edge, an alias) or founds a new one.
-        let disposition = match &record {
-            AttemptRecord::Active { fp, flags, func, .. } => {
+        // fingerprint-fresh candidate's signature either matches an
+        // established class (merge: no insertion, a dashed edge, an
+        // alias) or founds a new one.
+        let disposition = match &mut record {
+            AttemptRecord::Active { fp, flags, func, sig, .. } => {
                 let d = match space.find(*fp, *flags) {
                     Some(id) => Disposition::Hit(id),
                     None => match sem.as_deref_mut() {
@@ -384,7 +404,9 @@ pub(crate) fn merge_parent(
                             let cand = func
                                 .as_ref()
                                 .expect("first discovery of an instance carries its function");
-                            let sig = sem.signature(cand);
+                            let sig = sig
+                                .take()
+                                .expect("the sign stage signed every fingerprint-fresh identity");
                             let (res, escalated) = sem.resolve(&sig, cand);
                             stats.sem_escalations += escalated;
                             tm_sem_escalations += escalated;
@@ -439,7 +461,7 @@ pub(crate) fn merge_parent(
                 }
                 continue;
             }
-            AttemptRecord::Active { phase, fp, flags, inst_count, cf_sig, func, bytes } => {
+            AttemptRecord::Active { phase, fp, flags, inst_count, cf_sig, func, bytes, .. } => {
                 (phase, fp, flags, inst_count, cf_sig, func, bytes)
             }
         };
@@ -490,7 +512,6 @@ pub(crate) fn merge_parent(
                         .insert((fp, flags), bytes.take().expect("paranoid attempt carries bytes"));
                 }
                 let func = func.expect("first discovery of an instance carries its function");
-                let func = Arc::new(func);
                 match res {
                     SemResolution::Off => {}
                     SemResolution::Founder(sig) => {
@@ -598,8 +619,11 @@ pub fn enumerate(f: &Function, target: &Target, config: &Config) -> Enumeration 
 /// [`SearchStats::sem_mask_fallbacks`] candidate. The resulting space
 /// is a sub-DAG of the annotation tier's; `vpoc audit-quotient`
 /// measures the exact class loss and checks optimum preservation (see
-/// DESIGN §4.2.2). Determinism is inherited unchanged: prune decisions
+/// DESIGN §4.2.2). Determinism is inherited unchanged: candidates are
+/// signed in each level's parallel sign stage, but prune decisions
 /// happen at merge time, serially in frontier order, for any job count.
+/// The lookahead's successor signatures are memoized, so a candidate
+/// that falls back to expansion never has its children simulated twice.
 pub fn enumerate_semantic_pruned(
     program: &Program,
     f: &Function,
@@ -634,9 +658,13 @@ pub fn enumerate_semantic_pruned(
 /// an extended input battery before the merge is accepted
 /// ([`SearchStats::sem_escalations`]); rejected hits stay distinct nodes
 /// and count [`SearchStats::sem_collisions`]. Like the fingerprint tier,
-/// the result is bit-identical for any [`Config::jobs`] value:
-/// signatures are computed at merge time, which is serial and in
-/// frontier order for any job count.
+/// the result is bit-identical for any [`Config::jobs`] value: each
+/// level's fingerprint-fresh identities are signed in parallel in a sign
+/// stage at the level barrier ([`crate::semantic`]), and the merge that
+/// consumes the signatures is serial and in frontier order for any job
+/// count. The simulator work is job-count invariant too; a level
+/// truncated by [`Config::max_level_width`] may sign candidates the merge
+/// never reaches.
 ///
 /// # Panics
 ///
@@ -862,15 +890,17 @@ mod tests {
             let sig = sem.signature(f);
             sem.register(sig, root, &root_func);
             // Fabricate the attempt record a worker would have produced
-            // had some phase transformed `f` into `g`.
+            // had some phase transformed `f` into `g`, signed as the sign
+            // stage would have signed it.
             let record = AttemptRecord::Active {
                 phase: PhaseId::Cse,
                 fp: canon::fingerprint(g),
                 flags: g.flags,
                 inst_count: g.inst_count() as u32,
                 cf_sig: control_flow_signature(g),
-                func: Some(g.clone()),
+                func: Some(Arc::new(g.clone())),
                 bytes: config.paranoid.then(|| canon::canonical_bytes(g)),
+                sig: Some(sem.signature(g)),
             };
             let parent = FrontierEntry { id: root, func: root_func };
             let mut next = Vec::new();

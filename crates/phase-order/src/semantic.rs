@@ -75,16 +75,33 @@
 //!   accepted semantic merge after the fact, exactly as it re-derives
 //!   fingerprint merges.
 //!
-//! Signature computation and lookup happen at *merge time*, which is
-//! serial and in frontier order even under parallel enumeration — the
-//! semantic tier therefore inherits the bit-identical-for-any-job-count
-//! guarantee of the fingerprint tier unchanged.
+//! Signatures are computed in a **sign stage** at each level barrier,
+//! between expansion and merge. Once a level's last expansion lands, the
+//! campaign driver ([`crate::campaign`]) scans the level's attempt
+//! records in frontier order and collects every fingerprint-fresh
+//! identity — exactly the candidates the serial merge would sign — with
+//! the frontier-first body that carries it. Workers sign those bodies in
+//! parallel, each on its own simulator, outside the scheduler
+//! lock; the merge then runs serially in frontier order on the
+//! precomputed signatures. Class lookup, paranoid escalation and the
+//! pruned tier's lookahead all stay in that serial merge, so the
+//! semantic tier inherits the bit-identical-for-any-job-count guarantee
+//! of the fingerprint tier unchanged, and the set of signed identities —
+//! hence the simulator work — does not depend on the job count either.
+//! A pruned-tier search never signs one identity twice: every signature
+//! its sign stage or lookahead computes is memoized by canonical
+//! identity, on the premise that a signature depends only on the
+//! canonical instance. A level the
+//! `max_level_width` bound truncates may sign candidates the serial
+//! merge never reaches (their parents are cut off mid-level); that count
+//! is still the same for any job count.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use vpo_opt::facts::Facts;
 use vpo_opt::{attempt, PhaseId, Target};
+use vpo_rtl::canon::{Canonicalizer, Fingerprint};
 use vpo_rtl::rng::Rng;
 use vpo_rtl::{Expr, FuncFlags, Function, Program, Reg};
 use vpo_sim::{BatteryOutcome, Machine};
@@ -184,6 +201,21 @@ pub struct Signature {
     pub battery: Vec<BatteryOutcome>,
 }
 
+/// Computes the behavioral signature of `f`: its structural key plus the
+/// outcome of running the base battery `inputs` on `machine` under
+/// `fuel`. The one signing routine: [`SemanticContext::signature`] runs
+/// it on the context's own simulator, the campaign's sign stage on each
+/// worker's.
+pub(crate) fn sign(
+    machine: &mut Machine<'_>,
+    f: &Function,
+    inputs: &[Vec<i32>],
+    fuel: u64,
+) -> Signature {
+    let battery = machine.run_battery(f, inputs, fuel);
+    Signature { structure: StructuralKey::of(f), battery }
+}
+
 /// Outcome of presenting a fingerprint-fresh instance to the semantic
 /// tier.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -217,21 +249,28 @@ struct ClassRep {
     ext: Option<Vec<Observation>>,
 }
 
-/// Per-function semantic merge state: the shared simulator (its lowered
-/// block cache stays warm across every signature in the space), the two
-/// batteries, and the class table.
+/// Per-function semantic merge state: the merge's simulator (its lowered
+/// block cache stays warm across every lookahead and escalation in the
+/// space), the two batteries, the class table and the signature memo.
 pub struct SemanticContext<'p> {
     machine: Machine<'p>,
     fuel: u64,
     paranoid: bool,
     prune: bool,
-    /// Base battery: the oracle's baseline-clean seeded inputs.
-    base: Vec<Vec<i32>>,
+    /// Base battery: the oracle's baseline-clean seeded inputs. Shared
+    /// with the sign stage's workers.
+    base: Arc<[Vec<i32>]>,
     /// Extended battery for paranoid escalation: overflow edges and
     /// full-range draws, *not* filtered for baseline cleanliness (the
     /// comparison is candidate-vs-representative, so traps count too).
     ext: Vec<Vec<i32>>,
     classes: HashMap<Signature, Vec<ClassRep>>,
+    /// Signatures by canonical identity, filled by the pruned tier: every
+    /// lookahead successor's and every sign-stage candidate's, so no
+    /// identity is simulated twice.
+    memo: HashMap<(Fingerprint, FuncFlags), Signature>,
+    /// Fingerprints the lookahead's successors.
+    canon: Canonicalizer,
 }
 
 impl<'p> SemanticContext<'p> {
@@ -249,9 +288,11 @@ impl<'p> SemanticContext<'p> {
             fuel: config.fuel,
             paranoid,
             prune: false,
-            base,
+            base: base.into(),
             ext: extended_battery(f.params.len(), config),
             classes: HashMap::new(),
+            memo: HashMap::new(),
+            canon: Canonicalizer::new(),
         }
     }
 
@@ -277,10 +318,32 @@ impl<'p> SemanticContext<'p> {
         &self.ext
     }
 
+    /// The base battery, shared: the sign stage's workers run it on
+    /// their own simulators.
+    pub(crate) fn shared_inputs(&self) -> Arc<[Vec<i32>]> {
+        Arc::clone(&self.base)
+    }
+
+    /// The dynamic-instruction budget of each battery run.
+    pub(crate) fn fuel(&self) -> u64 {
+        self.fuel
+    }
+
     /// Computes the behavioral signature of a function instance.
     pub fn signature(&mut self, f: &Function) -> Signature {
-        let battery = self.machine.run_battery(f, &self.base, self.fuel);
-        Signature { structure: StructuralKey::of(f), battery }
+        sign(&mut self.machine, f, &self.base, self.fuel)
+    }
+
+    /// The signature already computed for the canonical identity
+    /// `(fp, flags)` in this search, if any.
+    pub(crate) fn memoized(&self, fp: Fingerprint, flags: FuncFlags) -> Option<&Signature> {
+        self.memo.get(&(fp, flags))
+    }
+
+    /// Records the signature computed for the canonical identity
+    /// `(fp, flags)`.
+    pub(crate) fn memoize(&mut self, fp: Fingerprint, flags: FuncFlags, sig: Signature) {
+        self.memo.insert((fp, flags), sig);
     }
 
     /// Resolves a fingerprint-fresh instance against the class table.
@@ -353,9 +416,12 @@ impl<'p> SemanticContext<'p> {
     /// pruned (skipping it saves no work). The check runs serially at
     /// the level-barrier merge, so it inherits the bit-identical-for-
     /// any-job-count guarantee; its cost is one phase application per
-    /// potentially-active phase plus one battery run per *active* one —
-    /// the same work expanding the candidate would have spent, traded
-    /// for skipping the candidate's entire subtree.
+    /// potentially-active phase plus, per *active* one, a fingerprint and
+    /// a battery run unless the successor's identity was already signed
+    /// in this search — the same work expanding the candidate would have
+    /// spent, traded for skipping the candidate's entire subtree. Each
+    /// new successor signature is memoized, so the sign stage never
+    /// simulates it again when expansion reaches that identity.
     pub fn subsumes(
         &mut self,
         cand: &Function,
@@ -384,8 +450,13 @@ impl<'p> SemanticContext<'p> {
                 return false;
             };
             let rep_of_child = space.sem_rep(child);
-            let sig = self.signature(&step);
-            let Some(reps) = self.classes.get(&sig) else {
+            let fp = self.canon.fingerprint_into(&step);
+            let (machine, base, fuel) = (&mut self.machine, &self.base, self.fuel);
+            let sig = self
+                .memo
+                .entry((fp, step.flags))
+                .or_insert_with(|| sign(machine, &step, base, fuel));
+            let Some(reps) = self.classes.get(sig) else {
                 return false;
             };
             if !reps.iter().any(|r| r.node == rep_of_child) {

@@ -256,6 +256,10 @@ pub struct Telemetry {
     /// Claims served from a function other than the earliest in-flight
     /// one — lanes stolen by later functions (scheduling-dependent).
     pub campaign_steals: Counter,
+    /// Wall time each level barrier holds the scheduler lock to merge the
+    /// level's records into its space (after the sign stage, on a
+    /// semantic tier).
+    pub merge_wall_ns: Histogram,
     /// Checkpoint rewrites of the result store.
     pub store_flushes: Counter,
     /// Size of the last flushed store, in bytes; for a sharded memo
@@ -345,6 +349,7 @@ impl Telemetry {
             campaign_functions_deepened: Counter::new("campaign.functions_deepened", false),
             campaign_claims: Counter::new("campaign.claims", true),
             campaign_steals: Counter::new("campaign.steals", false),
+            merge_wall_ns: Histogram::new("campaign.merge_wall_ns"),
             store_flushes: Counter::new("campaign.store_flushes", true),
             store_bytes: Gauge::new("campaign.store_bytes", true),
             store_flush_wall_ns: Histogram::new("campaign.store_flush_wall_ns"),
@@ -396,6 +401,7 @@ impl Telemetry {
             C(&self.campaign_functions_deepened),
             C(&self.campaign_claims),
             C(&self.campaign_steals),
+            H(&self.merge_wall_ns),
             C(&self.store_flushes),
             G(&self.store_bytes),
             H(&self.store_flush_wall_ns),
