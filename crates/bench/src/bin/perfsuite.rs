@@ -404,7 +404,7 @@ fn run_suite(opts: &Options) -> Result<PerfReport, String> {
     #[cfg(unix)]
     {
         use std::os::unix::net::UnixStream;
-        use std::process::{Command, Stdio};
+        use std::process::{Child, Command, Stdio};
         use std::time::Duration;
 
         use phase_order::campaign::store::shard_path;
@@ -428,6 +428,17 @@ fn run_suite(opts: &Options) -> Result<PerfReport, String> {
                     std::fs::remove_file(shard_path(&store, k, 4)).ok();
                 }
                 std::fs::remove_file(&socket).ok();
+                /// The spawned daemon, killed and reaped when dropped, so
+                /// an early return or a failed assertion below does not
+                /// leave it running. After the clean shutdown at the end
+                /// both calls are no-ops.
+                struct Reaped(Child);
+                impl Drop for Reaped {
+                    fn drop(&mut self) {
+                        let _ = self.0.kill();
+                        let _ = self.0.wait();
+                    }
+                }
                 let mut daemon = Command::new(&vpoc)
                     .args([
                         "serve",
@@ -440,6 +451,7 @@ fn run_suite(opts: &Options) -> Result<PerfReport, String> {
                     .stdout(Stdio::null())
                     .stderr(Stdio::null())
                     .spawn()
+                    .map(Reaped)
                     .map_err(|e| format!("serve/warm-query: spawning vpoc serve: {e}"))?;
                 let deadline = Instant::now() + Duration::from_secs(30);
                 while UnixStream::connect(&socket).is_err() {
@@ -479,7 +491,7 @@ fn run_suite(opts: &Options) -> Result<PerfReport, String> {
                     },
                 )?);
                 let _ = exchange(&Request::Shutdown);
-                let _ = daemon.wait();
+                let _ = daemon.0.wait();
                 for k in 0..4 {
                     std::fs::remove_file(shard_path(&store, k, 4)).ok();
                 }

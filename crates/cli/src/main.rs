@@ -56,7 +56,7 @@ use std::sync::Arc;
 use phase_order::audit;
 use phase_order::campaign::store::{Completeness, FunctionRecord};
 use phase_order::campaign::{self, CampaignConfig, FunctionTask};
-use phase_order::enumerate::{enumerate_tier, Config};
+use phase_order::enumerate::enumerate_tier;
 use phase_order::oracle;
 use phase_order::request::{ExploreRequest, MergeTier, Selector};
 use vpo_opt::batch::batch_compile;
@@ -229,14 +229,8 @@ fn program_of(task: &FunctionTask) -> &vpo_rtl::Program {
 /// `campaign` and the daemon; `resume`/`stop_after`/`cancel` stay at
 /// their defaults for the caller to fill in).
 fn campaign_config(request: &ExploreRequest) -> CampaignConfig {
-    CampaignConfig {
-        enumerate: Config { jobs: 0, ..request.config.clone() },
-        jobs: request.config.jobs,
-        semantic: request.semantic_config(),
-        sem_pruned: request.tier == MergeTier::SemanticPruned,
-        budget: request.budget,
-        ..CampaignConfig::default()
-    }
+    let config = CampaignConfig::for_tier(request.tier, &request.config, &request.semantic);
+    CampaignConfig { budget: request.budget, ..config }
 }
 
 /// Handles `--metrics PATH` for the exploring subcommands: resets the

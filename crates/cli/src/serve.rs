@@ -41,7 +41,7 @@ use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 use phase_order::campaign::store::{self, FunctionRecord, ResultStore};
-use phase_order::campaign::{self, CampaignConfig, FunctionTask, Observer};
+use phase_order::campaign::{self, CampaignConfig, CampaignError, FunctionTask, Observer};
 use phase_order::service::{ListEntry, Request, Response, Served};
 use phase_order::telemetry;
 use phase_order::wire::{read_frame, write_frame, FrameError};
@@ -167,11 +167,7 @@ impl Daemon {
     fn flush_shard(&self, shard: usize) -> Result<(), String> {
         let s = &self.shards[shard];
         let _guard = s.flush.lock().unwrap();
-        let mut out = ResultStore::new(
-            &self.config.enumerate,
-            self.config.semantic.as_ref(),
-            self.config.sem_pruned,
-        );
+        let mut out = ResultStore::new(&self.config);
         for &t in &s.tasks {
             if let Some(rec) = self.record(t) {
                 out.records.push((*rec).clone());
@@ -252,33 +248,16 @@ pub fn serve_cmd(argv: &[String]) -> Result<(), String> {
     // re-homed to their shards on the eager flush below); shard files
     // are adopted after it and take precedence.
     let mut seed: Vec<Option<FunctionRecord>> = vec![None; tasks.len()];
-    let mut adopt = |path: &Path| -> Result<(), String> {
-        if !path.exists() {
-            return Ok(());
-        }
-        let prior = ResultStore::load(path).map_err(|e| format!("serve: {e}"))?;
-        prior
-            .check_config(&config.enumerate, config.semantic.as_ref(), config.sem_pruned)
-            .map_err(|e| format!("serve: {e}"))?;
-        for rec in prior.records {
-            match tasks.iter().position(|t| t.name == rec.name) {
-                Some(i) => seed[i] = Some(rec),
-                None => {
-                    return Err(format!(
-                        "serve: {} records `{}`, which none of the served tasks produce",
-                        path.display(),
-                        rec.name
-                    ))
-                }
-            }
-        }
-        Ok(())
-    };
-    if nshards > 1 {
-        adopt(&store_base)?;
-    }
-    for k in 0..nshards {
-        adopt(&store::shard_path(&store_base, k, nshards))?;
+    let legacy = (nshards > 1).then(|| store_base.clone());
+    let shard_files = (0..nshards).map(|k| store::shard_path(&store_base, k, nshards));
+    for path in legacy.into_iter().chain(shard_files).filter(|p| p.exists()) {
+        campaign::adopt_store(&path, &tasks, &config, &mut seed).map_err(|e| match e {
+            CampaignError::UnknownRecord(name) => format!(
+                "serve: {} records `{name}`, which none of the served tasks produce",
+                path.display()
+            ),
+            e => format!("serve: {e}"),
+        })?;
     }
 
     let daemon = Arc::new(Daemon {

@@ -226,3 +226,70 @@ fn query_without_a_daemon_is_a_clean_error() {
     assert!(!ok, "query against no daemon must fail");
     assert!(text.contains("is `vpoc serve` running?"), "{text}");
 }
+
+/// Writes a store with `vpoc campaign` over `args`, at `MAX_NODES`.
+fn campaign_store(store: &Path, args: &[&str]) {
+    std::fs::remove_file(store).ok();
+    let out = vpoc()
+        .arg("campaign")
+        .args(args)
+        .args([&format!("--store={}", store.display()), &format!("--max-nodes={MAX_NODES}")])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "campaign failed:\n{}", String::from_utf8_lossy(&out.stderr));
+}
+
+/// Starts `vpoc serve` over `args` on `store`, which it must refuse at
+/// startup: it exits nonzero, opens no socket and leaves the store's
+/// bytes alone. Returns its stderr.
+fn serve_refuses(store: &Path, socket: &Path, args: &[&str]) -> String {
+    use std::io::Read as _;
+    std::fs::remove_file(socket).ok();
+    let before = std::fs::read(store).unwrap();
+    let child = vpoc()
+        .arg("serve")
+        .args(args)
+        .args([
+            &format!("--store={}", store.display()),
+            &format!("--socket={}", socket.display()),
+            &format!("--max-nodes={MAX_NODES}"),
+        ])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut daemon = Daemon(child);
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let status = loop {
+        if let Some(status) = daemon.try_wait().unwrap() {
+            break status;
+        }
+        assert!(Instant::now() < deadline, "daemon did not refuse the store within 30s");
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let mut stderr = String::new();
+    daemon.stderr.take().unwrap().read_to_string(&mut stderr).unwrap();
+    assert!(!status.success(), "serve must refuse the store:\n{stderr}");
+    assert!(!socket.exists(), "a refused store must leave no socket:\n{stderr}");
+    assert_eq!(std::fs::read(store).unwrap(), before, "a refused store must stay untouched");
+    stderr
+}
+
+#[test]
+fn daemon_refuses_a_store_of_another_merge_tier() {
+    let dir = tmp_dir("tier");
+    let (store, socket) = (dir.join("pruned.store"), dir.join("vpod.sock"));
+    campaign_store(&store, &["--bench", BENCH, "--merge-tier", "semantic-pruned"]);
+    let stderr = serve_refuses(&store, &socket, &["--bench", BENCH, "--merge-tier", "semantic"]);
+    assert!(stderr.contains("store config mismatch"), "{stderr}");
+}
+
+#[test]
+fn daemon_refuses_a_store_recording_foreign_functions() {
+    let dir = tmp_dir("foreign");
+    let (store, socket) = (dir.join("bitcount.store"), dir.join("vpod.sock"));
+    campaign_store(&store, &["--bench", BENCH]);
+    let stderr = serve_refuses(&store, &socket, &["--bench", "sha"]);
+    assert!(stderr.contains("`bitcount::bit_count`"), "{stderr}");
+    assert!(stderr.contains(&store.display().to_string()), "{stderr}");
+}

@@ -67,6 +67,7 @@ use crate::enumerate::{
     expand_parent, merge_parent, rematerialize, AttemptRecord, Config, Enumeration, ExpandScratch,
     FrontierEntry, SearchOutcome, SearchStats,
 };
+use crate::request::MergeTier;
 use crate::semantic::{self, SemanticConfig, SemanticContext, Signature};
 use crate::space::{NodeId, SearchSpace};
 use store::{FrontierState, FunctionRecord, ResultStore, StoreError};
@@ -125,6 +126,23 @@ pub struct CampaignConfig {
     /// [`CampaignSummary::interrupted`] set. The daemon's SIGTERM
     /// handler sets it; `None` never cancels.
     pub cancel: Option<Arc<AtomicBool>>,
+}
+
+impl CampaignConfig {
+    /// The options of a run under merge tier `tier` — the one place a
+    /// tier becomes [`CampaignConfig::semantic`] and
+    /// [`CampaignConfig::sem_pruned`], which every later reader (the
+    /// store's config echo, the merge) takes from here. `config.jobs`
+    /// sizes the pool; `semantic` is kept only on a semantic tier.
+    pub fn for_tier(tier: MergeTier, config: &Config, semantic: &SemanticConfig) -> CampaignConfig {
+        CampaignConfig {
+            enumerate: Config { jobs: 0, ..config.clone() },
+            jobs: config.jobs,
+            semantic: tier.is_semantic().then(|| semantic.clone()),
+            sem_pruned: tier == MergeTier::SemanticPruned,
+            ..CampaignConfig::default()
+        }
+    }
 }
 
 /// Why a campaign could not run (store trouble or a malformed task
@@ -366,32 +384,40 @@ pub fn run(
     }
 
     let mut completed: Vec<Option<FunctionRecord>> = vec![None; tasks.len()];
-    let mut resumed = 0usize;
-    if let Some(path) = store_path {
-        if path.exists() {
-            if !config.resume {
-                return Err(CampaignError::StoreExists(path.to_owned()));
-            }
-            let prior = ResultStore::load(path)?;
-            prior.check_config(&config.enumerate, config.semantic.as_ref(), config.sem_pruned)?;
-            for rec in prior.records {
-                match tasks.iter().position(|t| t.name == rec.name) {
-                    Some(i) => {
-                        // A suspended checkpoint is not a finished
-                        // function: it stays in `completed` as the
-                        // restore source, but the task will be
-                        // activated (and deepened) again.
-                        if !rec.is_resumable() {
-                            resumed += 1;
-                        }
-                        completed[i] = Some(rec);
-                    }
-                    None => return Err(CampaignError::UnknownRecord(rec.name)),
-                }
-            }
+    if let Some(path) = store_path.filter(|p| p.exists()) {
+        if !config.resume {
+            return Err(CampaignError::StoreExists(path.to_owned()));
         }
+        adopt_store(path, &tasks, config, &mut completed)?;
     }
+    // A suspended checkpoint is not a finished function: it stays in
+    // `completed` as the restore source, but the task will be activated
+    // (and deepened) again.
+    let resumed = completed.iter().flatten().filter(|r| !r.is_resumable()).count();
     drive(&tasks, target, store_path, config, observer, completed, resumed, start)
+}
+
+/// Adopts the store at `path` into a run over `tasks`: loads it, checks
+/// its config echo against `config`, and puts each record into its
+/// task's slot in `slots`, over whatever an earlier adoption left there.
+/// A record whose task is missing is a [`CampaignError::UnknownRecord`].
+/// A resumed [`run`] adopts its one store; the memo daemon adopts a
+/// legacy base file and then each shard file, so later files win.
+pub fn adopt_store(
+    path: &Path,
+    tasks: &[FunctionTask],
+    config: &CampaignConfig,
+    slots: &mut [Option<FunctionRecord>],
+) -> Result<(), CampaignError> {
+    let prior = ResultStore::load(path)?;
+    prior.check_config(config)?;
+    for rec in prior.records {
+        let Some(i) = tasks.iter().position(|t| t.name == rec.name) else {
+            return Err(CampaignError::UnknownRecord(rec.name));
+        };
+        slots[i] = Some(rec);
+    }
+    Ok(())
 }
 
 /// What one memo-service request produced: the function's record after
@@ -778,9 +804,6 @@ fn restore_search<'a>(
     let sem = ctx.config.semantic.as_ref().map(|sc| {
         let program = program.as_deref().expect("semantic campaign tasks must carry their program");
         let mut sem = SemanticContext::new(program, root, sc, ctx.config.enumerate.paranoid);
-        if ctx.config.sem_pruned {
-            sem.enable_pruning();
-        }
         // Pruned nodes are never founders (their `sem_rep` resolves
         // through the parent's pruned edge), so the founder walk below
         // re-registers only representatives — rebuilding the exact class
@@ -920,7 +943,7 @@ fn deposit_signatures(
         };
         // A signed identity enters the space, and only the pruned tier's
         // lookahead asks for the signature of one already there.
-        if sem.pruning() {
+        if ctx.config.sem_pruned {
             sem.memoize(*fp, *flags, signature.clone());
         }
         *sig = Some(signature);
@@ -944,7 +967,7 @@ fn merge_level(ctx: &Ctx<'_>, st: &mut DriverState<'_>, pos: usize) -> Vec<Front
     let s = &mut st.active[pos];
     let task = s.task;
     let tm = crate::telemetry::global();
-    let config = &ctx.config.enumerate;
+    let config = ctx.config;
     s.level += 1;
     tm.peak_frontier.set_max(s.frontier.len() as u64);
     let merged = s.frontier.len() as u64;
@@ -972,7 +995,7 @@ fn merge_level(ctx: &Ctx<'_>, st: &mut DriverState<'_>, pos: usize) -> Vec<Front
             truncated = true;
             break;
         }
-        if next.len() > config.max_level_width {
+        if next.len() > config.enumerate.max_level_width {
             truncated = true;
             break;
         }
@@ -1082,11 +1105,7 @@ fn suspend_all(ctx: &Ctx<'_>, st: &mut DriverState<'_>) {
 fn flush_store(ctx: &Ctx<'_>, st: &mut DriverState<'_>) -> bool {
     let Some(path) = ctx.store_path else { return true };
     let snapshot = ResultStore {
-        config: store::ConfigEcho::of(
-            &ctx.config.enumerate,
-            ctx.config.semantic.as_ref(),
-            ctx.config.sem_pruned,
-        ),
+        config: store::ConfigEcho::of(ctx.config),
         records: st.completed.iter().flatten().cloned().collect(),
     };
     match save_store(&snapshot, path) {

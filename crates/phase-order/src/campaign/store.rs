@@ -13,12 +13,13 @@
 //! ```
 //!
 //! All integers are little-endian ([`crate::wire`] holds the shared
-//! helpers). The *config echo* freezes every [`Config`] field that
-//! influences results (`max_nodes`, `max_level_width`, the Figure 2
-//! shortcut, paranoid mode — but not `jobs`, which never changes
-//! results): a resumed campaign refuses a store written under different
-//! bounds, because its records would not be byte-identical to an
-//! uninterrupted run under the new bounds. The echo's third byte once
+//! helpers). The *config echo* ([`ConfigEcho::of`]) freezes every
+//! [`CampaignConfig`] option that influences results — the enumeration
+//! bounds (`max_nodes`, `max_level_width`, the Figure 2 shortcut,
+//! paranoid mode), the merge tier and its battery options, but not
+//! `jobs`, which never changes results: a resumed campaign refuses a
+//! store written under different options, because its records would not
+//! be byte-identical to an uninterrupted run under the new ones. The echo's third byte once
 //! selected naive replay; it is always `0` now, and a store that sets it
 //! is refused.
 //!
@@ -41,8 +42,8 @@ use vpo_rtl::cfg::control_flow_signature;
 use vpo_rtl::crc;
 use vpo_rtl::{FuncFlags, Function};
 
-use crate::enumerate::{sequence_letters, Config, Enumeration, SearchStats};
-use crate::semantic::SemanticConfig;
+use super::CampaignConfig;
+use crate::enumerate::{sequence_letters, Enumeration, SearchStats};
 use crate::space::{Node, NodeId};
 use crate::wire::{self, Reader, WireError};
 
@@ -123,26 +124,26 @@ impl From<WireError> for StoreError {
     }
 }
 
-/// The result-affecting subset of the enumeration [`Config`], echoed in
+/// The result-affecting subset of a run's [`CampaignConfig`], echoed in
 /// the store header.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct ConfigEcho {
-    /// [`Config::max_nodes`].
+    /// [`crate::Config::max_nodes`].
     pub max_nodes: u64,
-    /// [`Config::max_level_width`].
+    /// [`crate::Config::max_level_width`].
     pub max_level_width: u64,
-    /// [`Config::skip_just_applied`].
+    /// [`crate::Config::skip_just_applied`].
     pub skip_just_applied: bool,
-    /// [`Config::paranoid`].
+    /// [`crate::Config::paranoid`].
     pub paranoid: bool,
     /// Whether the semantic merge tier was on (`--merge-tier semantic`
     /// or `semantic-pruned`).
     pub semantic: bool,
-    /// [`SemanticConfig::battery`] (`0` when the tier is off).
+    /// [`crate::SemanticConfig::battery`] (`0` when the tier is off).
     pub sem_battery: u32,
-    /// [`SemanticConfig::seed`] (`0` when the tier is off).
+    /// [`crate::SemanticConfig::seed`] (`0` when the tier is off).
     pub sem_seed: u64,
-    /// [`SemanticConfig::fuel`] (`0` when the tier is off).
+    /// [`crate::SemanticConfig::fuel`] (`0` when the tier is off).
     pub sem_fuel: u64,
     /// Whether subsumption pruning was on (`--merge-tier
     /// semantic-pruned`). Pruned-tier spaces are genuinely smaller than
@@ -152,22 +153,26 @@ pub struct ConfigEcho {
 }
 
 impl ConfigEcho {
-    /// Projects a full enumeration config (and the semantic tier's
-    /// options, when that tier is on) onto its echoed subset.
-    /// `sem_pruned` selects the subsumption-pruned variant of the
-    /// semantic tier and must be `false` when `semantic` is `None`.
-    pub fn of(config: &Config, semantic: Option<&SemanticConfig>, sem_pruned: bool) -> ConfigEcho {
-        debug_assert!(semantic.is_some() || !sem_pruned, "pruning requires the semantic tier");
+    /// Projects a run's options onto their echoed subset: the
+    /// enumeration bounds, and the merge tier with its battery options.
+    /// [`CampaignConfig::sem_pruned`] must be `false` when
+    /// [`CampaignConfig::semantic`] is `None`.
+    pub fn of(config: &CampaignConfig) -> ConfigEcho {
+        let (e, semantic) = (&config.enumerate, config.semantic.as_ref());
+        debug_assert!(
+            semantic.is_some() || !config.sem_pruned,
+            "pruning requires the semantic tier"
+        );
         ConfigEcho {
-            max_nodes: config.max_nodes as u64,
-            max_level_width: config.max_level_width as u64,
-            skip_just_applied: config.skip_just_applied,
-            paranoid: config.paranoid,
+            max_nodes: e.max_nodes as u64,
+            max_level_width: e.max_level_width as u64,
+            skip_just_applied: e.skip_just_applied,
+            paranoid: e.paranoid,
             semantic: semantic.is_some(),
             sem_battery: semantic.map_or(0, |s| s.battery as u32),
             sem_seed: semantic.map_or(0, |s| s.seed),
             sem_fuel: semantic.map_or(0, |s| s.fuel),
-            sem_pruned,
+            sem_pruned: config.sem_pruned,
         }
     }
 }
@@ -715,15 +720,9 @@ pub struct ResultStore {
 }
 
 impl ResultStore {
-    /// An empty store for the given enumeration config (and semantic
-    /// tier options, when that tier is on; `sem_pruned` selects the
-    /// subsumption-pruned variant).
-    pub fn new(
-        config: &Config,
-        semantic: Option<&SemanticConfig>,
-        sem_pruned: bool,
-    ) -> ResultStore {
-        ResultStore { config: ConfigEcho::of(config, semantic, sem_pruned), records: Vec::new() }
+    /// An empty store for a run under `config`.
+    pub fn new(config: &CampaignConfig) -> ResultStore {
+        ResultStore { config: ConfigEcho::of(config), records: Vec::new() }
     }
 
     /// Serializes the store. The encoding is a pure function of the
@@ -860,16 +859,11 @@ impl ResultStore {
         write().map_err(|e| e.context("writing store", path))
     }
 
-    /// Checks that `config` (and the merge-tier selection, including
-    /// subsumption pruning) matches the bounds this store was written
-    /// under (resume safety).
-    pub fn check_config(
-        &self,
-        config: &Config,
-        semantic: Option<&SemanticConfig>,
-        sem_pruned: bool,
-    ) -> Result<(), StoreError> {
-        let now = ConfigEcho::of(config, semantic, sem_pruned);
+    /// Checks that a run under `config` — its bounds and its merge tier,
+    /// subsumption pruning included — matches what this store was
+    /// written under (resume safety).
+    pub fn check_config(&self, config: &CampaignConfig) -> Result<(), StoreError> {
+        let now = ConfigEcho::of(config);
         if self.config != now {
             return Err(StoreError::ConfigMismatch(format!(
                 "store written under {:?}, campaign running with {:?}; \
@@ -913,6 +907,9 @@ pub fn shard_path(base: &Path, shard: usize, shards: usize) -> std::path::PathBu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::enumerate::Config;
+    use crate::request::MergeTier;
+    use crate::semantic::SemanticConfig;
 
     fn sample_record(name: &str, seed: u64) -> FunctionRecord {
         let mut active_counts = [0u64; PhaseId::COUNT];
@@ -979,7 +976,7 @@ mod tests {
     }
 
     fn sample_store() -> ResultStore {
-        let mut s = ResultStore::new(&Config::default(), None, false);
+        let mut s = ResultStore::new(&CampaignConfig::default());
         s.records.push(sample_record("bitcount::bit_count", 2));
         s.records.push(sample_record("sha::sha_transform", 5));
         s
@@ -1066,28 +1063,31 @@ mod tests {
 
     #[test]
     fn config_echo_gates_resume() {
+        let tier = |t| CampaignConfig::for_tier(t, &Config::default(), &SemanticConfig::default());
         let s = sample_store();
-        s.check_config(&Config::default(), None, false).unwrap();
-        let other = Config { max_nodes: 7, ..Config::default() };
-        assert!(matches!(s.check_config(&other, None, false), Err(StoreError::ConfigMismatch(_))));
+        s.check_config(&CampaignConfig::default()).unwrap();
+        let other = CampaignConfig {
+            enumerate: Config { max_nodes: 7, ..Config::default() },
+            ..CampaignConfig::default()
+        };
+        assert!(matches!(s.check_config(&other), Err(StoreError::ConfigMismatch(_))));
         // Switching merge tiers between runs also refuses to resume.
-        let sem = SemanticConfig::default();
         assert!(matches!(
-            s.check_config(&Config::default(), Some(&sem), false),
+            s.check_config(&tier(MergeTier::Semantic)),
             Err(StoreError::ConfigMismatch(_))
         ));
         // The pruned and annotation variants of the semantic tier are
         // distinct memo keys: a pruned-tier store refuses an
         // annotation-tier resume and vice versa.
-        let pruned = ResultStore::new(&Config::default(), Some(&sem), true);
-        pruned.check_config(&Config::default(), Some(&sem), true).unwrap();
+        let pruned = ResultStore::new(&tier(MergeTier::SemanticPruned));
+        pruned.check_config(&tier(MergeTier::SemanticPruned)).unwrap();
         assert!(matches!(
-            pruned.check_config(&Config::default(), Some(&sem), false),
+            pruned.check_config(&tier(MergeTier::Semantic)),
             Err(StoreError::ConfigMismatch(_))
         ));
-        let annotated = ResultStore::new(&Config::default(), Some(&sem), false);
+        let annotated = ResultStore::new(&tier(MergeTier::Semantic));
         assert!(matches!(
-            annotated.check_config(&Config::default(), Some(&sem), true),
+            annotated.check_config(&tier(MergeTier::SemanticPruned)),
             Err(StoreError::ConfigMismatch(_))
         ));
     }
@@ -1121,7 +1121,7 @@ mod tests {
         }
         // A v1 store resumes under the matching current config
         // (fingerprint tier), since the echoed subset is identical.
-        s.check_config(&Config::default(), None, false).unwrap();
+        s.check_config(&CampaignConfig::default()).unwrap();
     }
 
     /// Encodes a node exactly as the v2/v3 builds did: two edge lists,
@@ -1256,7 +1256,7 @@ mod tests {
         // frontier checkpoint, the pruned tier) are things no v2 build
         // could have produced.
         assert_eq!(back, s);
-        back.check_config(&Config::default(), None, false).unwrap();
+        back.check_config(&CampaignConfig::default()).unwrap();
     }
 
     #[test]
@@ -1271,7 +1271,7 @@ mod tests {
         assert!(!back.config.sem_pruned);
         let fs = back.find("qsort::partition").unwrap().frontier.as_ref().unwrap();
         assert!(fs.nodes.iter().all(|n| !n.pruned && n.pruned_children.is_empty()));
-        back.check_config(&Config::default(), None, false).unwrap();
+        back.check_config(&CampaignConfig::default()).unwrap();
     }
 
     #[test]

@@ -313,42 +313,37 @@ pub(crate) fn expand_parent(
     records
 }
 
-/// How a fingerprint-fresh instance resolved against the semantic tier
-/// (trivially `Off` under the fingerprint tier).
-enum SemResolution {
-    /// Semantic tier disabled.
-    Off,
-    /// The signature founded a new class: register the node under it.
+/// How one active attempt resolves against the space — computed up front
+/// (it drives the `max_nodes` cap check) and consumed when the record is
+/// folded in. Every outcome but a hit inserts a node.
+enum Disposition {
+    /// Fingerprint hit on a node of the space: a `children` edge.
+    Hit(NodeId),
+    /// A new node under the fingerprint tier.
+    Fresh,
+    /// A new node whose signature founded a new class: register the node
+    /// under it.
     Founder(Signature),
-    /// The signature matched an established class (surviving escalation
-    /// in paranoid mode). Under the annotation tier (`pruned: false`)
-    /// the node is inserted *and expanded* exactly as under the
+    /// A new node whose signature matched an established class
+    /// (surviving escalation in paranoid mode). Under the annotation tier
+    /// (`pruned: false`) the node is expanded exactly as under the
     /// fingerprint tier — signature equality is not a congruence under
     /// phase application, so blind pruning would lose classes — and
     /// annotated via a `sem_children` edge on the parent. Under the
     /// pruned tier, when the one-step lookahead also subsumes the
-    /// candidate's realized successors (`pruned: true`), the node is
-    /// inserted but its expansion is skipped: the edge goes to the
-    /// parent's `pruned_children` instead, and the node never reaches
-    /// the next frontier.
+    /// candidate's realized successors (`pruned: true`), the node's
+    /// expansion is skipped: the edge goes to the parent's
+    /// `pruned_children` instead, and the node never reaches the next
+    /// frontier.
     Merged { rep: NodeId, pruned: bool },
-}
-
-/// How one active attempt resolves against the space — computed up front
-/// (it drives the `max_nodes` cap check) and consumed when the record is
-/// folded in.
-enum Disposition {
-    /// Fingerprint hit on a node of the space: a `children` edge.
-    Hit(NodeId),
-    /// A new node, with its semantic resolution.
-    Insert(SemResolution),
 }
 
 /// Folds one parent's attempt records into the space, in phase order —
 /// the single code path that assigns node ids and counts statistics,
 /// and (when `sem` is given) the only place the semantic merge tier
-/// decides: merge happens serially in frontier order even under parallel
-/// enumeration, so class lookups, paranoid escalation and the pruned
+/// decides, pruning subsumed merges when the run's
+/// [`CampaignConfig::sem_pruned`] is set: merge happens serially in
+/// frontier order even under parallel enumeration, so class lookups, paranoid escalation and the pruned
 /// tier's lookahead inherit the bit-identical-for-any-job-count
 /// guarantee without any extra synchronization. The signatures
 /// themselves are not computed here: each fingerprint-fresh record
@@ -368,7 +363,7 @@ pub(crate) fn merge_parent(
     space: &mut SearchSpace,
     stats: &mut SearchStats,
     paranoid_bytes: &mut HashMap<(Fingerprint, FuncFlags), Vec<u8>>,
-    config: &Config,
+    config: &CampaignConfig,
     target: &Target,
     level: u32,
     parent: &FrontierEntry,
@@ -429,22 +424,22 @@ pub(crate) fn merge_parent(
                                     // same-level representative has no
                                     // children yet and never subsumes.
                                     let pruned =
-                                        sem.pruning() && sem.subsumes(cand, space, rep, target);
-                                    Disposition::Insert(SemResolution::Merged { rep, pruned })
+                                        config.sem_pruned && sem.subsumes(cand, space, rep, target);
+                                    Disposition::Merged { rep, pruned }
                                 }
                                 Resolution::Fresh { collided } => {
                                     if collided {
                                         stats.sem_collisions += 1;
                                         tm_sem_collisions += 1;
                                     }
-                                    Disposition::Insert(SemResolution::Founder(sig))
+                                    Disposition::Founder(sig)
                                 }
                             }
                         }
-                        None => Disposition::Insert(SemResolution::Off),
+                        None => Disposition::Fresh,
                     },
                 };
-                if matches!(d, Disposition::Insert(_)) && space.len() >= config.max_nodes {
+                if !matches!(d, Disposition::Hit(_)) && space.len() >= config.enumerate.max_nodes {
                     complete = false;
                     break;
                 }
@@ -475,7 +470,7 @@ pub(crate) fn merge_parent(
         let check_bytes = |paranoid_bytes: &mut HashMap<(Fingerprint, FuncFlags), Vec<u8>>,
                            bytes: &mut Option<Vec<u8>>,
                            stats: &mut SearchStats| {
-            if config.paranoid {
+            if config.enumerate.paranoid {
                 let recorded = paranoid_bytes.get(&(fp, flags)).unwrap_or_else(|| {
                     panic!("paranoid mode: no canonical bytes recorded for fingerprint hit")
                 });
@@ -490,9 +485,9 @@ pub(crate) fn merge_parent(
                 check_bytes(paranoid_bytes, &mut bytes, stats);
                 children.push((phase, existing));
             }
-            Disposition::Insert(res) => {
+            res => {
                 tm_inserted += 1;
-                let skip_expansion = matches!(res, SemResolution::Merged { pruned: true, .. });
+                let skip_expansion = matches!(res, Disposition::Merged { pruned: true, .. });
                 let id = space.insert(Node {
                     fp,
                     flags,
@@ -507,19 +502,21 @@ pub(crate) fn merge_parent(
                     discovered_from: Some((parent.id, phase)),
                     weight: 0,
                 });
-                if config.paranoid {
+                if config.enumerate.paranoid {
                     paranoid_bytes
                         .insert((fp, flags), bytes.take().expect("paranoid attempt carries bytes"));
                 }
                 let func = func.expect("first discovery of an instance carries its function");
                 match res {
-                    SemResolution::Off => {}
-                    SemResolution::Founder(sig) => {
+                    // A fingerprint-tier node joins no class; hits took
+                    // the arm above.
+                    Disposition::Hit(_) | Disposition::Fresh => {}
+                    Disposition::Founder(sig) => {
                         sem.as_deref_mut()
                             .expect("signature implies the semantic tier is on")
                             .register(sig, id, &func);
                     }
-                    SemResolution::Merged { rep, pruned } => {
+                    Disposition::Merged { rep, pruned } => {
                         stats.sem_merges += 1;
                         tm_sem_hits += 1;
                         if pruned {
@@ -533,7 +530,7 @@ pub(crate) fn merge_parent(
                             // annotate the quotient but keep exploring
                             // through it.
                             sem_edges.push((phase, rep));
-                            if sem.as_deref().is_some_and(|s| s.pruning()) {
+                            if config.sem_pruned {
                                 stats.sem_mask_fallbacks += 1;
                                 tm_sem_fallbacks += 1;
                             }
@@ -679,13 +676,7 @@ pub fn enumerate_tier(
 ) -> Enumeration {
     let tm = crate::telemetry::global();
     tm.searches.inc();
-    let campaign = CampaignConfig {
-        enumerate: config.clone(),
-        jobs: config.jobs,
-        semantic: tier.is_semantic().then(|| sem_config.clone()),
-        sem_pruned: tier == MergeTier::SemanticPruned,
-        ..CampaignConfig::default()
-    };
+    let campaign = CampaignConfig::for_tier(tier, config, sem_config);
     let task = FunctionTask {
         name: f.name.clone(),
         func: f.clone(),
@@ -877,7 +868,8 @@ mod tests {
         let g = program.function("g").unwrap();
         let sem_config = SemanticConfig::default();
         for paranoid in [true, false] {
-            let config = Config { paranoid, ..Config::default() };
+            let bounds = Config { paranoid, ..Config::default() };
+            let config = CampaignConfig::for_tier(MergeTier::Semantic, &bounds, &sem_config);
             let mut space = SearchSpace::new();
             let mut stats = SearchStats::default();
             let mut paranoid_bytes = HashMap::new();
@@ -899,7 +891,7 @@ mod tests {
                 inst_count: g.inst_count() as u32,
                 cf_sig: control_flow_signature(g),
                 func: Some(Arc::new(g.clone())),
-                bytes: config.paranoid.then(|| canon::canonical_bytes(g)),
+                bytes: paranoid.then(|| canon::canonical_bytes(g)),
                 sig: Some(sem.signature(g)),
             };
             let parent = FrontierEntry { id: root, func: root_func };

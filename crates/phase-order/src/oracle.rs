@@ -231,10 +231,12 @@ pub fn materialize_all(space: &SearchSpace, root: &Function, target: &Target) ->
     out
 }
 
-/// The candidate inputs [`build_battery`] draws from for a function of
+/// The candidate inputs the battery is drawn from for a function of
 /// `arity` parameters: deterministic edge-case tuples first, then
 /// `8 * config.battery` seeded draws (mostly small, a quarter in
-/// ±2M). Functions of no parameters get the single empty input.
+/// ±2M). The battery keeps the first `config.battery` of them on which
+/// the baseline runs cleanly ([`crate::SemanticContext::base_inputs`]).
+/// Functions of no parameters get the single empty input.
 pub fn candidate_battery(arity: usize, config: &SemanticConfig) -> Vec<Vec<i32>> {
     if arity == 0 {
         return vec![Vec::new()];
@@ -323,7 +325,8 @@ struct ItemResult {
 /// `program` provides callees (functions called by `f` resolve to their
 /// *unoptimized* versions, exactly as during enumeration) and the globals
 /// layout. `f` must be the same unoptimized function `enumeration` was
-/// produced from. `config` shapes the battery ([`build_battery`]);
+/// produced from. `config` shapes the battery (the first `config.battery`
+/// [`candidate_battery`] inputs on which `f` runs cleanly);
 /// `jobs` sizes the worker pool like [`crate::Config::jobs`] (`0` and
 /// `1` verify on the calling thread).
 pub fn verify(

@@ -124,15 +124,6 @@ impl ExploreRequest {
         }
     }
 
-    /// The semantic options a campaign should run with: `Some` exactly
-    /// when the semantic tier is selected.
-    pub fn semantic_config(&self) -> Option<SemanticConfig> {
-        match self.tier {
-            MergeTier::Fingerprint => None,
-            MergeTier::Semantic | MergeTier::SemanticPruned => Some(self.semantic.clone()),
-        }
-    }
-
     /// Rejects requests no backend could honour. Selector/function
     /// existence is checked later, at resolution time — validation here
     /// is about the request's own shape.
@@ -164,6 +155,12 @@ impl ExploreRequest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::CampaignConfig;
+
+    /// The run options a request maps onto.
+    fn campaign(r: &ExploreRequest) -> CampaignConfig {
+        CampaignConfig::for_tier(r.tier, &r.config, &r.semantic)
+    }
 
     #[test]
     fn builder_composes_and_validates() {
@@ -178,10 +175,15 @@ mod tests {
         assert_eq!(r.selector, Selector::Bench("sha".into()));
         assert_eq!(r.shards, 1, "one store unless serve asks for shards");
         r.validate().unwrap();
-        assert!(r.semantic_config().is_some());
+        let c = campaign(&r);
+        assert_eq!((c.semantic, c.sem_pruned), (Some(r.semantic.clone()), false));
+        assert_eq!((c.jobs, c.enumerate.jobs), (4, 0), "the pool, not the bounds, takes jobs");
+        let pruned = campaign(&ExploreRequest { tier: MergeTier::SemanticPruned, ..r.clone() });
+        assert!(pruned.semantic.is_some() && pruned.sem_pruned);
 
         let fp = ExploreRequest::new(Selector::File("a.mc".into()));
-        assert!(fp.semantic_config().is_none());
+        let c = campaign(&fp);
+        assert!(c.semantic.is_none() && !c.sem_pruned);
         fp.validate().unwrap();
     }
 

@@ -39,8 +39,9 @@
 //! edge to their class representative, and the "distinct instances" a
 //! semantic Table 3 reports is the class count.
 //!
-//! The *pruned* tier (`--merge-tier semantic-pruned`,
-//! [`SemanticContext::enable_pruning`]) strengthens the merge criterion
+//! The *pruned* tier (`--merge-tier semantic-pruned`, selected by the
+//! run's [`crate::campaign::CampaignConfig::sem_pruned`], which the merge
+//! reads directly) strengthens the merge criterion
 //! enough to skip expansion: a signature hit is pruned only when the
 //! candidate's **realized active-phase set** is subsumed by its
 //! already-expanded representative's — every phase that actually fires
@@ -256,7 +257,6 @@ pub struct SemanticContext<'p> {
     machine: Machine<'p>,
     fuel: u64,
     paranoid: bool,
-    prune: bool,
     /// Base battery: the oracle's baseline-clean seeded inputs. Shared
     /// with the sign stage's workers.
     base: Arc<[Vec<i32>]>,
@@ -287,25 +287,12 @@ impl<'p> SemanticContext<'p> {
             machine: Machine::with_mem_size(program, config.mem_size),
             fuel: config.fuel,
             paranoid,
-            prune: false,
             base: base.into(),
             ext: extended_battery(f.params.len(), config),
             classes: HashMap::new(),
             memo: HashMap::new(),
             canon: Canonicalizer::new(),
         }
-    }
-
-    /// Switches the context into the *pruned* tier: signature hits whose
-    /// phase mask is subsumed by their representative's are not expanded
-    /// (see the module docs for the criterion and its audit).
-    pub fn enable_pruning(&mut self) {
-        self.prune = true;
-    }
-
-    /// Whether subsumption pruning is enabled.
-    pub fn pruning(&self) -> bool {
-        self.prune
     }
 
     /// The base battery inputs (the signature's behavioral evidence).
@@ -612,16 +599,6 @@ mod tests {
             // …and the extended battery separates it.
             assert!(!ctx.differential(&f, &g), "{name}: extended battery failed to separate");
         }
-    }
-
-    #[test]
-    fn pruning_flag_is_off_until_enabled() {
-        let program = vpo_frontend::compile("int f(int a) { return a + 1; }").unwrap();
-        let f = program.function("f").unwrap();
-        let mut ctx = SemanticContext::new(&program, f, &SemanticConfig::default(), false);
-        assert!(!ctx.pruning());
-        ctx.enable_pruning();
-        assert!(ctx.pruning());
     }
 
     #[test]

@@ -180,7 +180,7 @@ fn explore_function_deepens_strictly_through_store_round_trips() {
         expanded += outcome.expanded;
 
         // Store round trip: persist, reload, continue from the copy.
-        let mut store = ResultStore::new(&budgeted.enumerate, None, false);
+        let mut store = ResultStore::new(&budgeted);
         store.records = vec![record.clone()];
         let reloaded = ResultStore::from_bytes(&store.to_bytes()).unwrap();
         let copy = reloaded.find(&task.name).unwrap().clone();
