@@ -260,9 +260,8 @@ fn run_suite(opts: &Options) -> Result<PerfReport, String> {
         // lookahead against the annotation row above and pins the
         // `enumerate.sem_subsumption_prunes` / `sem_mask_fallbacks`
         // counters — nonzero here, zero everywhere else. With two jobs
-        // the level barriers' sign stages run on both workers; every
-        // counter, `sim.batched_retires` included, equals the serial
-        // row's.
+        // every counter, `sim.batched_retires` included, equals the
+        // serial row's: signing runs in the serial merge.
         for (mode, jobs) in [("serial", 0usize), ("jobs2", 2)] {
             let config = Config { jobs, ..Config::default() };
             workloads.push(run_workload(
@@ -424,19 +423,24 @@ fn run_suite(opts: &Options) -> Result<PerfReport, String> {
                 let pid = std::process::id();
                 let store = dir.join(format!("perfsuite_serve_{pid}.store"));
                 let socket = dir.join(format!("perfsuite_serve_{pid}.sock"));
-                for k in 0..4 {
-                    std::fs::remove_file(shard_path(&store, k, 4)).ok();
+                let mut files: Vec<PathBuf> = (0..4).map(|k| shard_path(&store, k, 4)).collect();
+                files.push(socket.clone());
+                for f in &files {
+                    std::fs::remove_file(f).ok();
                 }
-                std::fs::remove_file(&socket).ok();
-                /// The spawned daemon, killed and reaped when dropped, so
-                /// an early return or a failed assertion below does not
-                /// leave it running. After the clean shutdown at the end
-                /// both calls are no-ops.
-                struct Reaped(Child);
+                /// The spawned daemon and the files it writes: killed,
+                /// reaped and removed when dropped, so an early return or
+                /// a failed assertion below leaves neither the daemon nor
+                /// its socket and shard stores behind. After the clean
+                /// shutdown at the end the kill and wait are no-ops.
+                struct Reaped(Child, Vec<PathBuf>);
                 impl Drop for Reaped {
                     fn drop(&mut self) {
                         let _ = self.0.kill();
                         let _ = self.0.wait();
+                        for f in &self.1 {
+                            std::fs::remove_file(f).ok();
+                        }
                     }
                 }
                 let mut daemon = Command::new(&vpoc)
@@ -451,7 +455,7 @@ fn run_suite(opts: &Options) -> Result<PerfReport, String> {
                     .stdout(Stdio::null())
                     .stderr(Stdio::null())
                     .spawn()
-                    .map(Reaped)
+                    .map(|child| Reaped(child, files))
                     .map_err(|e| format!("serve/warm-query: spawning vpoc serve: {e}"))?;
                 let deadline = Instant::now() + Duration::from_secs(30);
                 while UnixStream::connect(&socket).is_err() {
@@ -492,9 +496,6 @@ fn run_suite(opts: &Options) -> Result<PerfReport, String> {
                 )?);
                 let _ = exchange(&Request::Shutdown);
                 let _ = daemon.0.wait();
-                for k in 0..4 {
-                    std::fs::remove_file(shard_path(&store, k, 4)).ok();
-                }
             }
         }
     }

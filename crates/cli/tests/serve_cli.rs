@@ -9,11 +9,11 @@
 mod common;
 
 use std::os::unix::net::UnixStream;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
-use common::Daemon;
+use common::{Daemon, TmpDir};
 
 const BENCH: &str = "bitcount";
 const MAX_NODES: &str = "400";
@@ -22,10 +22,8 @@ fn vpoc() -> Command {
     Command::new(env!("CARGO_BIN_EXE_vpoc"))
 }
 
-fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("vpoc_serve_{}_{tag}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+fn tmp_dir(tag: &str) -> TmpDir {
+    TmpDir::new(&format!("vpoc_serve_{}_{tag}", std::process::id()))
 }
 
 fn spawn_daemon(store: &Path, socket: &Path) -> Daemon {

@@ -23,7 +23,7 @@ use std::process::{Command, Stdio};
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
-use common::Daemon;
+use common::{Daemon, TmpDir};
 
 use phase_order::campaign::store::{shard_of, shard_path, ResultStore};
 use phase_order::service::{Request, Response, Served};
@@ -33,10 +33,8 @@ fn vpoc() -> Command {
     Command::new(env!("CARGO_BIN_EXE_vpoc"))
 }
 
-fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("vpoc_stress_{}_{tag}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+fn tmp_dir(tag: &str) -> TmpDir {
+    TmpDir::new(&format!("vpoc_stress_{}_{tag}", std::process::id()))
 }
 
 fn spawn_daemon(store: &Path, socket: &Path, extra: &[&str]) -> Daemon {

@@ -14,13 +14,10 @@
 //!   is bit-identical to a serial enumeration, for any job count.
 //!   [`crate::enumerate()`] is this driver on a one-task list with no
 //!   store and no budget.
-//! * **Sign stage.** On a semantic merge tier, a level's barrier first
-//!   collects its fingerprint-fresh identities — the candidates the
-//!   merge will sign — and hands them out as claimable sign units, ahead
-//!   of activating another function. Workers simulate them in parallel,
-//!   each on its own simulator, outside the scheduler lock; the last
-//!   signature deposited runs the serial merge on the precomputed
-//!   signatures ([`crate::semantic`]).
+//! * **Signing by control flow.** On a semantic merge tier, the serial
+//!   merge signs the level's fingerprint-fresh candidates by control
+//!   flow, simulating only the first instance of each control flow
+//!   ([`crate::semantic`]).
 //! * **Checkpointing.** Each completed function becomes a
 //!   [`store::FunctionRecord`]; the whole store is rewritten atomically
 //!   (temp file + rename) after every completion, with records in task
@@ -61,14 +58,13 @@ use std::time::{Duration, Instant};
 use vpo_opt::Target;
 use vpo_rtl::canon::{self, Fingerprint};
 use vpo_rtl::{FuncFlags, Function, Program};
-use vpo_sim::Machine;
 
 use crate::enumerate::{
     expand_parent, merge_parent, rematerialize, AttemptRecord, Config, Enumeration, ExpandScratch,
     FrontierEntry, SearchOutcome, SearchStats,
 };
 use crate::request::MergeTier;
-use crate::semantic::{self, SemanticConfig, SemanticContext, Signature};
+use crate::semantic::{SemanticConfig, SemanticContext};
 use crate::space::{NodeId, SearchSpace};
 use store::{FrontierState, FunctionRecord, ResultStore, StoreError};
 
@@ -259,10 +255,10 @@ struct Search<'a> {
     space: Arc<SearchSpace>,
     stats: SearchStats,
     paranoid_bytes: HashMap<(Fingerprint, FuncFlags), Vec<u8>>,
-    /// Semantic-tier state (signature classes, memo and the merge's
-    /// simulator), when the search runs a semantic merge tier. Only
-    /// touched under the scheduler lock: at the sign stage's scan and
-    /// deposits, and at merge time, which is serial per function.
+    /// Semantic-tier state (signature classes, control-flow memo and the
+    /// merge's simulator), when the search runs a semantic merge tier.
+    /// Only touched at merge time, which is serial per function and runs
+    /// under the scheduler lock.
     sem: Option<SemanticContext<'a>>,
     start: Instant,
     /// When the current level's first parent was claimed.
@@ -278,47 +274,10 @@ struct Search<'a> {
     claimed: usize,
     /// Slots deposited back.
     filled: usize,
-    /// The level's sign stage (semantic tiers): the fingerprint-fresh
-    /// identities still to be signed once every slot is filled, in
-    /// frontier order. Empty while the level expands.
-    to_sign: Vec<SignUnit>,
-    /// Sign units handed out to workers.
-    sign_claimed: usize,
-    /// Signatures deposited back.
-    sign_filled: usize,
     /// Parent expansions merged *this session* — the quantity
     /// [`CampaignConfig::budget`] caps. Restored searches start from
     /// zero again: the budget is per request, not per lifetime.
     session_expanded: u64,
-}
-
-/// One identity of the sign stage: the frontier-first carried body of a
-/// fingerprint-fresh identity, and where its record waits for the
-/// signature.
-struct SignUnit {
-    /// Frontier index of the parent whose records hold it.
-    slot: usize,
-    /// Index of the attempt record within that parent's records.
-    record: usize,
-    func: Arc<Function>,
-}
-
-/// A claimed run of work, self-contained so the worker needs no lock
-/// while it runs.
-enum Job {
-    Expand(Expansion),
-    Sign(Signing),
-}
-
-/// A claimed run of consecutive sign units of one search's level.
-struct Signing {
-    task: usize,
-    /// Index of the first claimed unit in the search's `to_sign`.
-    first: usize,
-    funcs: Vec<Arc<Function>>,
-    /// The search's base battery and fuel.
-    inputs: Arc<[Vec<i32>]>,
-    fuel: u64,
 }
 
 /// A claimed run of consecutive parent expansions of one level.
@@ -558,11 +517,10 @@ fn pool<'a>(
     ctx.state.into_inner().unwrap()
 }
 
-/// The worker loop: claim a run of sign units or parent expansions from
-/// any in-flight search (activating the next pending function when
-/// every stage is fully claimed), run them without holding the lock,
-/// deposit the results, and merge/checkpoint when a level or function
-/// completes.
+/// The worker loop: claim a run of parent expansions from any in-flight
+/// search (activating the next pending function when every frontier is
+/// fully claimed), expand them without holding the lock, deposit the
+/// records, and merge/checkpoint when a level or function completes.
 fn worker<'a>(ctx: &Ctx<'a>) {
     // Scratch buffers persist across every job this worker ever runs, so
     // steady-state expansions reuse the same heap blocks regardless of
@@ -574,10 +532,6 @@ fn worker<'a>(ctx: &Ctx<'a>) {
     // and never needs the body.
     let mut seen: HashSet<(Fingerprint, FuncFlags)> = HashSet::new();
     let mut seen_level = None;
-    // The sign stage's simulator, kept while consecutive sign claims come
-    // from one search so its lowered-block cache stays warm, and replaced
-    // when they move on, so the cache holds one function's blocks.
-    let mut machine: Option<(usize, Machine<'a>)> = None;
     loop {
         let job = {
             let mut st = ctx.state.lock().unwrap();
@@ -611,20 +565,6 @@ fn worker<'a>(ctx: &Ctx<'a>) {
                 // Every frontier entry is claimed but some worker is
                 // still expanding; its deposit will wake us.
                 st = ctx.cv.wait(st).unwrap();
-            }
-        };
-        let job = match job {
-            Job::Expand(job) => job,
-            Job::Sign(job) => {
-                let sigs = sign_units(ctx, &job, &mut machine);
-                let (task, first) = (job.task, job.first);
-                drop(job);
-                let mut st = ctx.state.lock().unwrap();
-                let retired = deposit_signatures(ctx, &mut st, task, first, sigs);
-                ctx.cv.notify_all();
-                drop(st);
-                drop(retired);
-                continue;
             }
         };
         if seen_level != Some((job.task, job.level)) {
@@ -668,63 +608,26 @@ fn worker<'a>(ctx: &Ctx<'a>) {
     }
 }
 
-/// Signs a claimed run of sign units on the worker's `machine`, first
-/// replacing it with one for the claim's task if it served another.
-fn sign_units<'a>(
-    ctx: &Ctx<'a>,
-    job: &Signing,
-    machine: &mut Option<(usize, Machine<'a>)>,
-) -> Vec<Signature> {
-    if machine.as_ref().is_none_or(|&(task, _)| task != job.task) {
-        let tasks: &'a [FunctionTask] = ctx.tasks;
-        let program = tasks[job.task]
-            .program
-            .as_deref()
-            .expect("semantic campaign tasks must carry their program");
-        let sc = ctx.config.semantic.as_ref().expect("sign units imply a semantic tier");
-        *machine = Some((job.task, Machine::with_mem_size(program, sc.mem_size)));
-    }
-    let (_, m) = machine.as_mut().expect("machine created above");
-    job.funcs.iter().map(|f| semantic::sign(m, f, &job.inputs, job.fuel)).collect()
-}
-
-/// Hands out the next unclaimed sign units or frontier entries,
-/// preferring the earliest activated search — later functions only soak
-/// up lanes the earlier ones cannot fill.
+/// Hands out the next unclaimed frontier entries, preferring the earliest
+/// activated search — later functions only soak up lanes the earlier ones
+/// cannot fill.
 ///
 /// A claim takes a run of consecutive parents, about a quarter of each
 /// worker's share of the level (at most 32): neighbouring parents share
 /// most of their children, so one worker's seen-set catches the repeats
 /// and only one body per new instance travels to the barrier, while
-/// several claims per worker still balance uneven parents. Sign units
-/// are claimed in runs of the same size; they tick neither
-/// `campaign.claims` nor `campaign.steals`, which count parent
-/// expansions.
-fn claim(ctx: &Ctx<'_>, st: &mut DriverState<'_>) -> Option<Job> {
+/// several claims per worker still balance uneven parents.
+fn claim(ctx: &Ctx<'_>, st: &mut DriverState<'_>) -> Option<Expansion> {
     let tm = crate::telemetry::global();
     let workers = ctx.config.jobs.max(1);
-    let run = |len: usize, first: usize| (len / (workers * 4)).clamp(1, 32).min(len - first);
     for (rank, s) in st.active.iter_mut().enumerate() {
-        if s.sign_claimed < s.to_sign.len() {
-            let first = s.sign_claimed;
-            let n = run(s.to_sign.len(), first);
-            s.sign_claimed += n;
-            let sem = s.sem.as_ref().expect("sign units imply a semantic tier");
-            return Some(Job::Sign(Signing {
-                task: s.task,
-                first,
-                funcs: s.to_sign[first..first + n].iter().map(|u| Arc::clone(&u.func)).collect(),
-                inputs: sem.shared_inputs(),
-                fuel: sem.fuel(),
-            }));
-        }
         let len = s.frontier.len();
         if s.claimed < len {
             let first = s.claimed;
             if first == 0 {
                 s.level_start = Instant::now();
             }
-            let n = run(len, first);
+            let n = (len / (workers * 4)).clamp(1, 32).min(len - first);
             s.claimed += n;
             tm.campaign_claims.add(n as u64);
             if rank > 0 {
@@ -732,13 +635,13 @@ fn claim(ctx: &Ctx<'_>, st: &mut DriverState<'_>) -> Option<Job> {
                 // soaked up by a later one — cross-function steals.
                 tm.campaign_steals.add(n as u64);
             }
-            return Some(Job::Expand(Expansion {
+            return Some(Expansion {
                 task: s.task,
                 level: s.level,
                 first,
                 parents: s.frontier[first..first + n].to_vec(),
                 space: Arc::clone(&s.space),
-            }));
+            });
         }
     }
     None
@@ -780,7 +683,9 @@ fn activate<'a>(ctx: &Ctx<'a>, st: &mut DriverState<'a>) {
 /// instances themselves, the canonical byte table in paranoid mode, and
 /// — under the semantic tier — the signature classes, re-registered for
 /// every founder in id order (discovery order), reproducing the exact
-/// class table the original run had at this barrier. `stats` carries the
+/// class table the original run had at this barrier. Founders are signed
+/// by control flow, so the walk simulates one counted battery per
+/// distinct control flow among them and infers the rest. `stats` carries the
 /// search counters from the checkpoint's record, so the completed
 /// record's statistics equal an uncapped run's.
 fn restore_search<'a>(
@@ -812,7 +717,7 @@ fn restore_search<'a>(
         // space's own merge edges.
         for id in space.iter().map(|(id, _)| id).filter(|&id| space.sem_rep(id) == id) {
             let func = Arc::new(remat(id));
-            let sig = sem.signature(&func);
+            let sig = sem.flow_signature(&func);
             sem.register(sig, id, &func);
         }
         sem
@@ -835,9 +740,6 @@ fn restore_search<'a>(
         frontier,
         claimed: 0,
         filled: 0,
-        to_sign: Vec::new(),
-        sign_claimed: 0,
-        sign_filled: 0,
         session_expanded: 0,
     }
 }
@@ -856,11 +758,10 @@ fn landing(st: &DriverState<'_>, task: usize) -> Option<usize> {
 }
 
 /// Parks the attempt records of the claimed parents starting at
-/// frontier index `first`. When the level's last expansion lands, opens
-/// the level's sign stage on a semantic tier ([`open_sign_stage`]), or
-/// else merges the level ([`merge_level`]). Returns the merged level's
-/// frontier, if it merged, so the caller frees its instances after
-/// releasing the scheduler lock.
+/// frontier index `first`. When the level's last expansion lands, merges
+/// the level ([`merge_level`]). Returns the merged level's frontier, if
+/// it merged, so the caller frees its instances after releasing the
+/// scheduler lock.
 fn deposit(
     ctx: &Ctx<'_>,
     st: &mut DriverState<'_>,
@@ -875,92 +776,16 @@ fn deposit(
         debug_assert!(slot.is_none(), "parent expanded twice");
         *slot = Some(r);
     }
-    if s.filled < s.frontier.len() || open_sign_stage(&ctx.config.enumerate, s) {
+    if s.filled < s.frontier.len() {
         return Vec::new();
     }
     merge_level(ctx, st, pos)
 }
 
-/// Opens the sign stage at a level barrier of a semantic-tier search:
-/// scans the level's records in frontier order, phase order, and queues
-/// a sign unit for the first occurrence of every fingerprint-fresh
-/// identity — the candidates [`merge_parent`] signs, in the order it
-/// signs them. An identity the search has already signed takes its
-/// memoized signature instead. The scan stops where the merge would hit
-/// the `max_nodes` cap: the merge signs a candidate before its cap check,
-/// so it signs at most one candidate more than the cap leaves room for.
-/// Returns whether any unit awaits signing; the fingerprint tier has no
-/// sign stage.
-fn open_sign_stage(config: &Config, s: &mut Search<'_>) -> bool {
-    let Some(sem) = s.sem.as_ref() else { return false };
-    let room = config.max_nodes.saturating_sub(s.space.len()) + 1;
-    let mut fresh = HashSet::new();
-    'scan: for (p, slot) in s.slots.iter_mut().enumerate() {
-        let records = slot.as_mut().expect("barrier reached with an unfilled slot");
-        for (r, record) in records.iter_mut().enumerate() {
-            let AttemptRecord::Active { fp, flags, func, sig, .. } = record else { continue };
-            if s.space.find(*fp, *flags).is_some() || fresh.contains(&(*fp, *flags)) {
-                continue;
-            }
-            if fresh.len() == room {
-                break 'scan;
-            }
-            fresh.insert((*fp, *flags));
-            match sem.memoized(*fp, *flags) {
-                Some(known) => *sig = Some(known.clone()),
-                None => s.to_sign.push(SignUnit {
-                    slot: p,
-                    record: r,
-                    func: Arc::clone(
-                        func.as_ref().expect("first discovery of an instance carries its function"),
-                    ),
-                }),
-            }
-        }
-    }
-    !s.to_sign.is_empty()
-}
-
-/// Writes the signatures of the claimed sign units starting at index
-/// `first` into their records and the search's memo; when the level's
-/// last signature lands, merges the level ([`merge_level`]) and returns
-/// its frontier, as [`deposit`] does.
-fn deposit_signatures(
-    ctx: &Ctx<'_>,
-    st: &mut DriverState<'_>,
-    task: usize,
-    first: usize,
-    sigs: Vec<Signature>,
-) -> Vec<FrontierEntry> {
-    let Some(pos) = landing(st, task) else { return Vec::new() };
-    let s = &mut st.active[pos];
-    let sem = s.sem.as_mut().expect("sign units imply a semantic tier");
-    s.sign_filled += sigs.len();
-    for (unit, signature) in s.to_sign[first..].iter().zip(sigs) {
-        let records = s.slots[unit.slot].as_mut().expect("signed records are deposited");
-        let AttemptRecord::Active { fp, flags, sig, .. } = &mut records[unit.record] else {
-            unreachable!("sign units point at active records")
-        };
-        // A signed identity enters the space, and only the pruned tier's
-        // lookahead asks for the signature of one already there.
-        if ctx.config.sem_pruned {
-            sem.memoize(*fp, *flags, signature.clone());
-        }
-        *sig = Some(signature);
-    }
-    if s.sign_filled < s.to_sign.len() {
-        return Vec::new();
-    }
-    s.to_sign.clear();
-    s.sign_claimed = 0;
-    s.sign_filled = 0;
-    merge_level(ctx, st, pos)
-}
-
-/// Level barrier reached (and, on a semantic tier, every fresh identity
-/// signed): merges every parent of the search at `pos` in frontier order
-/// (restoring the serial discovery order) and either refills the
-/// frontier or finalizes and checkpoints the function. Returns the
+/// Level barrier reached: merges every parent of the search at `pos` in
+/// frontier order (restoring the serial discovery order), signing the
+/// fingerprint-fresh candidates on a semantic tier, and either refills
+/// the frontier or finalizes and checkpoints the function. Returns the
 /// merged level's frontier.
 fn merge_level(ctx: &Ctx<'_>, st: &mut DriverState<'_>, pos: usize) -> Vec<FrontierEntry> {
     let merge_start = Instant::now();

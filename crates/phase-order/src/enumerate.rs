@@ -32,12 +32,11 @@
 //! worker that deposits the level's last parent **merges** the
 //! per-parent attempt records in frontier order, phase order, so node
 //! ids, `active_mask`s, edges, weights and [`SearchStats`] counters are
-//! bit-identical for any job count. On a semantic merge tier, a parallel
-//! sign stage runs between the two: the level's fingerprint-fresh
-//! candidates are simulated by the workers, and the merge consumes their
-//! signatures. The same driver runs multi-function campaigns, stealing
-//! parent expansions across functions; one expand/merge core serves
-//! both.
+//! bit-identical for any job count. On a semantic merge tier the merge
+//! also signs each fingerprint-fresh candidate by control flow
+//! ([`crate::semantic`]). The same driver runs multi-function
+//! campaigns, stealing parent expansions across functions; one
+//! expand/merge core serves both.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -193,15 +192,10 @@ pub(crate) enum AttemptRecord {
         /// The candidate function — carried only when the identity is
         /// neither in the space nor already carried by the producing
         /// worker in this level, a superset of the occurrences the merge
-        /// step actually inserts. Shared, so the sign stage can simulate
-        /// it while the record waits for the merge.
+        /// step actually inserts.
         func: Option<Arc<Function>>,
         /// Canonical serialization, present iff `Config::paranoid`.
         bytes: Option<Vec<u8>>,
-        /// The behavioral signature, filled in by the campaign's sign
-        /// stage on a semantic tier for each fingerprint-fresh identity's
-        /// first occurrence in frontier order; `None` otherwise.
-        sig: Option<Signature>,
     },
 }
 
@@ -294,16 +288,7 @@ pub(crate) fn expand_parent(
             *warm = false;
             Some(Arc::new(std::mem::take(buf)))
         };
-        records.push(AttemptRecord::Active {
-            phase,
-            fp,
-            flags,
-            inst_count,
-            cf_sig,
-            func,
-            bytes,
-            sig: None,
-        });
+        records.push(AttemptRecord::Active { phase, fp, flags, inst_count, cf_sig, func, bytes });
     }
     if reuse_hits > 0 || bytes_reused > 0 {
         let tm = crate::telemetry::global();
@@ -343,12 +328,12 @@ enum Disposition {
 /// and (when `sem` is given) the only place the semantic merge tier
 /// decides, pruning subsumed merges when the run's
 /// [`CampaignConfig::sem_pruned`] is set: merge happens serially in
-/// frontier order even under parallel enumeration, so class lookups, paranoid escalation and the pruned
-/// tier's lookahead inherit the bit-identical-for-any-job-count
-/// guarantee without any extra synchronization. The signatures
-/// themselves are not computed here: each fingerprint-fresh record
-/// arrives carrying the one the sign stage computed for it
-/// ([`crate::semantic`]). The annotation tier never changes which nodes
+/// frontier order even under parallel enumeration, so signing, class
+/// lookups, paranoid escalation and the pruned tier's lookahead inherit
+/// the bit-identical-for-any-job-count guarantee without any extra
+/// synchronization. Each fingerprint-fresh candidate is signed here by
+/// control flow: a memo lookup and a sum, or one counted battery for the
+/// first instance of a control flow ([`crate::semantic`]). The annotation tier never changes which nodes
 /// exist or how they connect — the space is bit-identical to the
 /// fingerprint tier's — it only *annotates* the quotient (sem edges,
 /// class counts) on top.
@@ -391,7 +376,7 @@ pub(crate) fn merge_parent(
         // established class (merge: no insertion, a dashed edge, an
         // alias) or founds a new one.
         let disposition = match &mut record {
-            AttemptRecord::Active { fp, flags, func, sig, .. } => {
+            AttemptRecord::Active { fp, flags, func, .. } => {
                 let d = match space.find(*fp, *flags) {
                     Some(id) => Disposition::Hit(id),
                     None => match sem.as_deref_mut() {
@@ -399,9 +384,7 @@ pub(crate) fn merge_parent(
                             let cand = func
                                 .as_ref()
                                 .expect("first discovery of an instance carries its function");
-                            let sig = sig
-                                .take()
-                                .expect("the sign stage signed every fingerprint-fresh identity");
+                            let sig = sem.flow_signature(cand);
                             let (res, escalated) = sem.resolve(&sig, cand);
                             stats.sem_escalations += escalated;
                             tm_sem_escalations += escalated;
@@ -616,11 +599,11 @@ pub fn enumerate(f: &Function, target: &Target, config: &Config) -> Enumeration 
 /// [`SearchStats::sem_mask_fallbacks`] candidate. The resulting space
 /// is a sub-DAG of the annotation tier's; `vpoc audit-quotient`
 /// measures the exact class loss and checks optimum preservation (see
-/// DESIGN §4.2.2). Determinism is inherited unchanged: candidates are
-/// signed in each level's parallel sign stage, but prune decisions
-/// happen at merge time, serially in frontier order, for any job count.
-/// The lookahead's successor signatures are memoized, so a candidate
-/// that falls back to expansion never has its children simulated twice.
+/// DESIGN §4.2.2). Determinism is inherited unchanged: signing and
+/// prune decisions happen at merge time, serially in frontier order, for
+/// any job count. Candidates and lookahead successors alike are signed by
+/// control flow, so a successor whose control flow the search has already
+/// signed costs a memo lookup, not a battery.
 pub fn enumerate_semantic_pruned(
     program: &Program,
     f: &Function,
@@ -655,13 +638,12 @@ pub fn enumerate_semantic_pruned(
 /// an extended input battery before the merge is accepted
 /// ([`SearchStats::sem_escalations`]); rejected hits stay distinct nodes
 /// and count [`SearchStats::sem_collisions`]. Like the fingerprint tier,
-/// the result is bit-identical for any [`Config::jobs`] value: each
-/// level's fingerprint-fresh identities are signed in parallel in a sign
-/// stage at the level barrier ([`crate::semantic`]), and the merge that
-/// consumes the signatures is serial and in frontier order for any job
-/// count. The simulator work is job-count invariant too; a level
-/// truncated by [`Config::max_level_width`] may sign candidates the merge
-/// never reaches.
+/// the result is bit-identical for any [`Config::jobs`] value: the merge
+/// that signs each level's fingerprint-fresh identities by control flow
+/// ([`crate::semantic`]) is serial and in frontier order for any job
+/// count, so the simulator work — one counted battery per distinct
+/// control flow, plus the instances that cannot be inferred — is
+/// job-count invariant too.
 ///
 /// # Panics
 ///
@@ -882,8 +864,7 @@ mod tests {
             let sig = sem.signature(f);
             sem.register(sig, root, &root_func);
             // Fabricate the attempt record a worker would have produced
-            // had some phase transformed `f` into `g`, signed as the sign
-            // stage would have signed it.
+            // had some phase transformed `f` into `g`.
             let record = AttemptRecord::Active {
                 phase: PhaseId::Cse,
                 fp: canon::fingerprint(g),
@@ -892,7 +873,6 @@ mod tests {
                 cf_sig: control_flow_signature(g),
                 func: Some(Arc::new(g.clone())),
                 bytes: paranoid.then(|| canon::canonical_bytes(g)),
-                sig: Some(sem.signature(g)),
             };
             let parent = FrontierEntry { id: root, func: root_func };
             let mut next = Vec::new();

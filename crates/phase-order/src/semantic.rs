@@ -76,36 +76,41 @@
 //!   accepted semantic merge after the fact, exactly as it re-derives
 //!   fingerprint merges.
 //!
-//! Signatures are computed in a **sign stage** at each level barrier,
-//! between expansion and merge. Once a level's last expansion lands, the
-//! campaign driver ([`crate::campaign`]) scans the level's attempt
-//! records in frontier order and collects every fingerprint-fresh
-//! identity — exactly the candidates the serial merge would sign — with
-//! the frontier-first body that carries it. Workers sign those bodies in
-//! parallel, each on its own simulator, outside the scheduler
-//! lock; the merge then runs serially in frontier order on the
-//! precomputed signatures. Class lookup, paranoid escalation and the
-//! pruned tier's lookahead all stay in that serial merge, so the
-//! semantic tier inherits the bit-identical-for-any-job-count guarantee
-//! of the fingerprint tier unchanged, and the set of signed identities —
-//! hence the simulator work — does not depend on the job count either.
-//! A pruned-tier search never signs one identity twice: every signature
-//! its sign stage or lookahead computes is memoized by canonical
-//! identity, on the premise that a signature depends only on the
-//! canonical instance. A level the
-//! `max_level_width` bound truncates may sign candidates the serial
-//! merge never reaches (their parents are cut off mid-level); that count
-//! is still the same for any job count.
+//! Enumeration signs **by control flow**, the paper's §7 observation:
+//! instances sharing a control flow enter their corresponding blocks
+//! equally often on equal inputs, and every instance of a space is
+//! observationally equal to the baseline by construction. So each
+//! search keeps a memo keyed by the exact control-flow shape
+//! ([`vpo_rtl::cfg::control_flow_shape`]). The first instance of a new
+//! shape runs the base battery once, counting block entries
+//! ([`FlowRun::measure`]); that run is its signature, and it fills the
+//! memo with, per input, the observation, the dynamic count spent in
+//! callees and the per-block entry counts. Every later instance of the
+//! shape is signed without simulation: its structural key plus, per
+//! input, that observation and `callees + Σ entries(block) × |block|`.
+//! A shape whose first run trapped, or an inferred count past the fuel,
+//! falls back to simulating the instance in full. The shape includes
+//! each branch's condition: branch reversal and block reordering can
+//! lay the same two arms out behind equal successor indices in opposite
+//! orders, and only the condition tells those apart. The merge signs
+//! serially in frontier order, so which instance fills each memo entry,
+//! and hence the simulator work, is the same for any job count. The
+//! simulated reference, [`SemanticContext::signature`], stays public: the
+//! `cf_signature_witness` suite holds every inferred signature to it,
+//! and paranoid escalation and `vpoc verify` still simulate every
+//! instance they check, so a miscompile the inference cannot see still
+//! surfaces there. The `semantic.cf_simulations` and
+//! `semantic.cf_inferred` counters show the split.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use vpo_opt::facts::Facts;
 use vpo_opt::{attempt, PhaseId, Target};
-use vpo_rtl::canon::{Canonicalizer, Fingerprint};
+use vpo_rtl::cfg::control_flow_shape;
 use vpo_rtl::rng::Rng;
 use vpo_rtl::{Expr, FuncFlags, Function, Program, Reg};
-use vpo_sim::{BatteryOutcome, Machine};
+use vpo_sim::{BatteryOutcome, LoweredInstance, Machine, SimError};
 
 use crate::oracle::{self, Observation};
 use crate::space::{NodeId, SearchSpace};
@@ -202,20 +207,53 @@ pub struct Signature {
     pub battery: Vec<BatteryOutcome>,
 }
 
-/// Computes the behavioral signature of `f`: its structural key plus the
-/// outcome of running the base battery `inputs` on `machine` under
-/// `fuel`. The one signing routine: [`SemanticContext::signature`] runs
-/// it on the context's own simulator, the campaign's sign stage on each
-/// worker's.
-pub(crate) fn sign(
-    machine: &mut Machine<'_>,
-    f: &Function,
-    inputs: &[Vec<i32>],
-    fuel: u64,
-) -> Signature {
-    let battery = machine.run_battery(f, inputs, fuel);
-    Signature { structure: StructuralKey::of(f), battery }
+/// One run of an instance on one input with its block entries counted:
+/// the measurement behind the paper's §7 inference. Any instance with the
+/// same control-flow shape enters its blocks as often on that input, so
+/// its own dynamic count is [`FlowRun::own`] of its body.
+#[derive(Clone, Debug)]
+pub struct FlowRun {
+    /// Return value and globals CRC.
+    pub observation: (i32, u32),
+    /// Dynamic instructions executed, callees included.
+    pub dynamic: u64,
+    /// How often each block of the instance was entered, by position.
+    pub entries: Vec<u64>,
 }
+
+impl FlowRun {
+    /// Runs the lowered instance `li` on `args` from a reset `machine`,
+    /// counting block entries. The outcome and count are exactly what
+    /// [`Machine::run_battery`] records for that input; on a trap the
+    /// count at the trap stays readable through
+    /// [`Machine::dynamic_insts`].
+    ///
+    /// # Errors
+    ///
+    /// The simulator error, if the run trapped.
+    pub fn measure(
+        machine: &mut Machine<'_>,
+        li: &LoweredInstance,
+        args: &[i32],
+    ) -> Result<FlowRun, SimError> {
+        machine.reset();
+        let (value, entries) = machine.call_lowered_counted(li, args)?;
+        let observation = (value, machine.globals_crc());
+        Ok(FlowRun { observation, dynamic: machine.dynamic_insts(), entries })
+    }
+
+    /// The dynamic instructions an instance `f` with the measured control
+    /// flow executes in its own blocks: `Σ entries(block) × |block|`.
+    pub fn own(&self, f: &Function) -> u64 {
+        f.blocks.iter().zip(&self.entries).map(|(b, &n)| b.insts.len() as u64 * n).sum()
+    }
+}
+
+/// A control flow's counted base battery, per input: the run and the
+/// dynamic count it spent in callees. `None` when the first instance
+/// trapped on some input (or its blocks over-account its count), so no
+/// instance of the flow is inferred.
+type FlowEntry = Option<Vec<(FlowRun, u64)>>;
 
 /// Outcome of presenting a fingerprint-fresh instance to the semantic
 /// tier.
@@ -251,26 +289,22 @@ struct ClassRep {
 }
 
 /// Per-function semantic merge state: the merge's simulator (its lowered
-/// block cache stays warm across every lookahead and escalation in the
-/// space), the two batteries, the class table and the signature memo.
+/// block cache stays warm across every battery and escalation in the
+/// space), the two batteries, the class table and the control-flow memo.
 pub struct SemanticContext<'p> {
     machine: Machine<'p>,
     fuel: u64,
     paranoid: bool,
-    /// Base battery: the oracle's baseline-clean seeded inputs. Shared
-    /// with the sign stage's workers.
-    base: Arc<[Vec<i32>]>,
+    /// Base battery: the oracle's baseline-clean seeded inputs.
+    base: Vec<Vec<i32>>,
     /// Extended battery for paranoid escalation: overflow edges and
     /// full-range draws, *not* filtered for baseline cleanliness (the
     /// comparison is candidate-vs-representative, so traps count too).
     ext: Vec<Vec<i32>>,
     classes: HashMap<Signature, Vec<ClassRep>>,
-    /// Signatures by canonical identity, filled by the pruned tier: every
-    /// lookahead successor's and every sign-stage candidate's, so no
-    /// identity is simulated twice.
-    memo: HashMap<(Fingerprint, FuncFlags), Signature>,
-    /// Fingerprints the lookahead's successors.
-    canon: Canonicalizer,
+    /// Counted base batteries by exact control-flow shape, one per
+    /// distinct control flow signed in this search.
+    flows: HashMap<Vec<u8>, FlowEntry>,
 }
 
 impl<'p> SemanticContext<'p> {
@@ -287,11 +321,10 @@ impl<'p> SemanticContext<'p> {
             machine: Machine::with_mem_size(program, config.mem_size),
             fuel: config.fuel,
             paranoid,
-            base: base.into(),
+            base,
             ext: extended_battery(f.params.len(), config),
             classes: HashMap::new(),
-            memo: HashMap::new(),
-            canon: Canonicalizer::new(),
+            flows: HashMap::new(),
         }
     }
 
@@ -305,32 +338,61 @@ impl<'p> SemanticContext<'p> {
         &self.ext
     }
 
-    /// The base battery, shared: the sign stage's workers run it on
-    /// their own simulators.
-    pub(crate) fn shared_inputs(&self) -> Arc<[Vec<i32>]> {
-        Arc::clone(&self.base)
-    }
-
-    /// The dynamic-instruction budget of each battery run.
-    pub(crate) fn fuel(&self) -> u64 {
-        self.fuel
-    }
-
-    /// Computes the behavioral signature of a function instance.
+    /// Computes the behavioral signature of a function instance by
+    /// simulating the whole base battery: the reference that signing by
+    /// control flow ([`crate::semantic`]) is held to.
     pub fn signature(&mut self, f: &Function) -> Signature {
-        sign(&mut self.machine, f, &self.base, self.fuel)
+        let battery = self.machine.run_battery(f, &self.base, self.fuel);
+        Signature { structure: StructuralKey::of(f), battery }
     }
 
-    /// The signature already computed for the canonical identity
-    /// `(fp, flags)` in this search, if any.
-    pub(crate) fn memoized(&self, fp: Fingerprint, flags: FuncFlags) -> Option<&Signature> {
-        self.memo.get(&(fp, flags))
-    }
-
-    /// Records the signature computed for the canonical identity
-    /// `(fp, flags)`.
-    pub(crate) fn memoize(&mut self, fp: Fingerprint, flags: FuncFlags, sig: Signature) {
-        self.memo.insert((fp, flags), sig);
+    /// Signs a function instance by control flow, as enumeration does:
+    /// inferred from this context's memo entry for its control-flow
+    /// shape, or — for the first instance of a shape — one counted
+    /// battery that also fills the entry. Equal to
+    /// [`SemanticContext::signature`] on semantics-preserving spaces.
+    pub fn flow_signature(&mut self, f: &Function) -> Signature {
+        let tm = crate::telemetry::global();
+        let structure = StructuralKey::of(f);
+        let shape = control_flow_shape(f);
+        if let Some(entry) = self.flows.get(&shape) {
+            if let Some(runs) = entry {
+                let battery: Vec<BatteryOutcome> = runs
+                    .iter()
+                    .map(|(run, callees)| (Ok(run.observation), callees + run.own(f)))
+                    .collect();
+                if battery.iter().all(|&(_, n)| n <= self.fuel) {
+                    tm.sem_cf_inferred.inc();
+                    return Signature { structure, battery };
+                }
+            }
+            tm.sem_cf_simulations.inc();
+            let battery = self.machine.run_battery(f, &self.base, self.fuel);
+            return Signature { structure, battery };
+        }
+        tm.sem_cf_simulations.inc();
+        self.machine.set_fuel(self.fuel);
+        let li = self.machine.lower_instance(f);
+        let mut battery = Vec::with_capacity(self.base.len());
+        let mut runs = Some(Vec::with_capacity(self.base.len()));
+        for args in &self.base {
+            match FlowRun::measure(&mut self.machine, &li, args) {
+                Ok(run) => {
+                    battery.push((Ok(run.observation), run.dynamic));
+                    let callees = run.dynamic.checked_sub(run.own(f));
+                    match (runs.as_mut(), callees) {
+                        (Some(runs), Some(callees)) => runs.push((run, callees)),
+                        _ => runs = None,
+                    }
+                }
+                Err(e) => {
+                    battery.push((Err(e), self.machine.dynamic_insts()));
+                    runs = None;
+                }
+            }
+        }
+        self.flows.insert(shape, runs);
+        Signature { structure, battery }
     }
 
     /// Resolves a fingerprint-fresh instance against the class table.
@@ -403,12 +465,10 @@ impl<'p> SemanticContext<'p> {
     /// pruned (skipping it saves no work). The check runs serially at
     /// the level-barrier merge, so it inherits the bit-identical-for-
     /// any-job-count guarantee; its cost is one phase application per
-    /// potentially-active phase plus, per *active* one, a fingerprint and
-    /// a battery run unless the successor's identity was already signed
-    /// in this search — the same work expanding the candidate would have
-    /// spent, traded for skipping the candidate's entire subtree. Each
-    /// new successor signature is memoized, so the sign stage never
-    /// simulates it again when expansion reaches that identity.
+    /// potentially-active phase plus, per *active* one, a signature by
+    /// control flow — a memo lookup and a sum, or one counted battery
+    /// for a control flow the search has not signed yet — traded for
+    /// skipping the candidate's entire subtree.
     pub fn subsumes(
         &mut self,
         cand: &Function,
@@ -437,13 +497,8 @@ impl<'p> SemanticContext<'p> {
                 return false;
             };
             let rep_of_child = space.sem_rep(child);
-            let fp = self.canon.fingerprint_into(&step);
-            let (machine, base, fuel) = (&mut self.machine, &self.base, self.fuel);
-            let sig = self
-                .memo
-                .entry((fp, step.flags))
-                .or_insert_with(|| sign(machine, &step, base, fuel));
-            let Some(reps) = self.classes.get(sig) else {
+            let sig = self.flow_signature(&step);
+            let Some(reps) = self.classes.get(&sig) else {
                 return false;
             };
             if !reps.iter().any(|r| r.node == rep_of_child) {
@@ -576,6 +631,71 @@ mod tests {
         let g = program.function("g").unwrap();
         let mut ctx = SemanticContext::new(&program, f, &SemanticConfig::default(), false);
         assert_ne!(ctx.signature(f), ctx.signature(g));
+    }
+
+    #[test]
+    fn flow_signatures_fall_back_to_simulation_where_inference_cannot_hold() {
+        // One shape, three bodies: `t` traps on every input, so the first
+        // run of the shape leaves nothing to infer from; `f` and `g` then
+        // share the shape, and `g`'s loop body is one instruction longer,
+        // which a tight fuel lets `f` fit and `g` not.
+        let program = vpo_frontend::compile(
+            "int t(int a) { int i; int s = 0; for (i = 0; i < 100; i++) s += a / (i - i); return s; }
+             int f(int a) { int i; int s = 0; for (i = 0; i < 100; i++) s += a; return s; }
+             int g(int a) { int i; int s = 0; for (i = 0; i < 100; i++) s += a ^ i; return s; }",
+        )
+        .unwrap();
+        let [t, f, g] = ["t", "f", "g"].map(|n| program.function(n).unwrap());
+        assert_eq!(control_flow_shape(f), control_flow_shape(g));
+        assert_eq!(control_flow_shape(f), control_flow_shape(t));
+        let mut ctx = SemanticContext::new(&program, f, &SemanticConfig::default(), false);
+        let trapped = ctx.flow_signature(t);
+        assert!(trapped.battery.iter().all(|(o, _)| o.is_err()));
+        assert_eq!(trapped, ctx.signature(t));
+        assert_eq!(ctx.flow_signature(f), ctx.signature(f), "trapped flow: simulated");
+
+        let fuel = ctx.signature(f).battery[0].1 + 50;
+        let config = SemanticConfig { fuel, ..SemanticConfig::default() };
+        let mut ctx = SemanticContext::new(&program, f, &config, false);
+        let sig_f = ctx.flow_signature(f);
+        assert!(sig_f.battery.iter().all(|(o, _)| o.is_ok()));
+        let sig_g = ctx.flow_signature(g);
+        assert_eq!(sig_g.battery[0].0, Err(SimError::OutOfFuel), "inferred past the fuel");
+        assert_eq!(sig_g, ctx.signature(g));
+    }
+
+    #[test]
+    fn branch_sense_separates_control_flows_with_swapped_arms() {
+        // Branch reversal and block reordering both lay the two arms of
+        // the `if` out behind one conditional branch, in opposite
+        // orders: the successor indices agree, but the block after the
+        // branch is entered on opposite inputs. The arms differ in
+        // length, so one memo entry for both would infer a wrong dynamic
+        // count for whichever is signed second.
+        let program = vpo_frontend::compile(
+            "int h(int a) { int x = 0; if (a > 0) { x = 1; } else { return a * 3 + 7; } return 5; }",
+        )
+        .unwrap();
+        let target = Target::default();
+        let mut base = program.function("h").unwrap().clone();
+        for phase in [PhaseId::InsnSelect, PhaseId::RegAlloc, PhaseId::DeadAssign] {
+            assert!(attempt(&mut base, phase, &target).active, "{phase:?}");
+        }
+        let mut reversed = base.clone();
+        assert!(attempt(&mut reversed, PhaseId::ReverseBranch, &target).active);
+        let mut reordered = base.clone();
+        assert!(attempt(&mut reordered, PhaseId::BlockReorder, &target).active);
+        assert_eq!(
+            vpo_rtl::cfg::control_flow_signature(&reversed),
+            vpo_rtl::cfg::control_flow_signature(&reordered),
+            "one control flow for the paper's CF statistic"
+        );
+        assert_ne!(control_flow_shape(&reversed), control_flow_shape(&reordered));
+        for (first, second) in [(&reversed, &reordered), (&reordered, &reversed)] {
+            let mut ctx = SemanticContext::new(&program, &base, &SemanticConfig::default(), false);
+            assert_eq!(ctx.flow_signature(first), ctx.signature(first));
+            assert_eq!(ctx.flow_signature(second), ctx.signature(second));
+        }
     }
 
     #[test]

@@ -231,6 +231,15 @@ pub struct Telemetry {
     /// mask was not subsumed — the recorded `sem_pruned_unsound_skip`
     /// candidates. Deterministic for any job count.
     pub sem_mask_fallbacks: Counter,
+    /// Signatures the semantic tiers computed by simulating the base
+    /// battery: the first instance of each control flow a search signs
+    /// (one counted battery), plus every instance of a flow that cannot
+    /// be inferred (its first run trapped, or the inferred count passes
+    /// the fuel). Counted at merge time, deterministic for any job count.
+    pub sem_cf_simulations: Counter,
+    /// Signatures inferred from a control flow's counted battery without
+    /// simulating. Deterministic for any job count.
+    pub sem_cf_inferred: Counter,
     /// Peak frontier width seen by any level of any search.
     pub peak_frontier: Gauge,
     /// Wall time per merged level, from the level's first claimed parent
@@ -257,8 +266,8 @@ pub struct Telemetry {
     /// one — lanes stolen by later functions (scheduling-dependent).
     pub campaign_steals: Counter,
     /// Wall time each level barrier holds the scheduler lock to merge the
-    /// level's records into its space (after the sign stage, on a
-    /// semantic tier).
+    /// level's records into its space (signing the fingerprint-fresh
+    /// candidates, on a semantic tier).
     pub merge_wall_ns: Histogram,
     /// Checkpoint rewrites of the result store.
     pub store_flushes: Counter,
@@ -340,6 +349,8 @@ impl Telemetry {
             sem_escalations: Counter::new("enumerate.sem_escalations", true),
             sem_subsumption_prunes: Counter::new("enumerate.sem_subsumption_prunes", true),
             sem_mask_fallbacks: Counter::new("enumerate.sem_mask_fallbacks", true),
+            sem_cf_simulations: Counter::new("semantic.cf_simulations", true),
+            sem_cf_inferred: Counter::new("semantic.cf_inferred", true),
             peak_frontier: Gauge::new("enumerate.peak_frontier", true),
             level_wall_ns: Histogram::new("enumerate.level_wall_ns"),
             campaign_functions_started: Counter::new("campaign.functions_started", true),
@@ -392,6 +403,8 @@ impl Telemetry {
             C(&self.sem_escalations),
             C(&self.sem_subsumption_prunes),
             C(&self.sem_mask_fallbacks),
+            C(&self.sem_cf_simulations),
+            C(&self.sem_cf_inferred),
             G(&self.peak_frontier),
             H(&self.level_wall_ns),
             C(&self.campaign_functions_started),

@@ -139,11 +139,32 @@ impl Cfg {
     }
 }
 
-/// A compact fingerprint of the function's control-flow *shape* only:
+/// The exact control-flow *shape* of `f` with its branch senses: its
+/// block count, then per block the kind of its last instruction
+/// (fallthrough, jump, conditional branch or return), the conditions
+/// its conditional branches test, and its successor block indices. Two
+/// instances with equal shapes enter corresponding blocks equally often
+/// on equal inputs (the paper's §7), which is what lets one counted run
+/// per shape stand in for every instance that has it. The condition is
+/// what keeps that true across branch reversal: reversing a branch and
+/// reordering its arms can produce the same successor indices with the
+/// arms swapped, and only the negated condition tells them apart. No
+/// phase swaps a compare's operands, so a branch's sense changes only
+/// with its condition.
+pub fn control_flow_shape(f: &Function) -> Vec<u8> {
+    shape_bytes(f, true)
+}
+
+/// A compact fingerprint of the function's control-flow shape only:
 /// block count plus, per block, the pattern of conditional/unconditional
-/// exits and their target block indices. Used for the paper's `CF`
-/// (distinct control flows) statistic.
+/// exits and their target block indices, without the branch conditions.
+/// Used for the paper's `CF` (distinct control flows) statistic.
 pub fn control_flow_signature(f: &Function) -> u64 {
+    let crc = crate::crc::crc32(&shape_bytes(f, false));
+    ((f.blocks.len() as u64) << 32) | crc as u64
+}
+
+fn shape_bytes(f: &Function, senses: bool) -> Vec<u8> {
     let cfg = Cfg::build(f);
     let mut bytes = Vec::with_capacity(f.blocks.len() * 4 + 4);
     bytes.extend_from_slice(&(f.blocks.len() as u32).to_le_bytes());
@@ -154,13 +175,27 @@ pub fn control_flow_signature(f: &Function) -> u64 {
             Some(Inst::Return { .. }) => 3,
             _ => 0,
         });
+        if senses {
+            // Length-prefixed conditions and successors, so equal bytes
+            // mean equal shapes whatever the block count.
+            let conds: Vec<u8> = b
+                .insts
+                .iter()
+                .filter_map(|inst| match inst {
+                    Inst::CondBranch { cond, .. } => Some(*cond as u8),
+                    _ => None,
+                })
+                .collect();
+            bytes.extend_from_slice(&(conds.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(&conds);
+            bytes.extend_from_slice(&(cfg.succs[i].len() as u32).to_le_bytes());
+        }
         for &s in &cfg.succs[i] {
             bytes.extend_from_slice(&(s as u32).to_le_bytes());
         }
         bytes.push(0xFF);
     }
-    let crc = crate::crc::crc32(&bytes);
-    ((f.blocks.len() as u64) << 32) | crc as u64
+    bytes
 }
 
 #[cfg(test)]

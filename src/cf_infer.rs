@@ -14,13 +14,18 @@
 //! With hundreds of thousands of instances but only tens of control
 //! flows, this turns an infeasible simulation campaign into a handful of
 //! runs — the prerequisite for the paper's "eventual goal" of finding the
-//! best-performing instance.
+//! best-performing instance. The measurement and the sum are
+//! [`phase_order::semantic::FlowRun`], the machinery the semantic merge
+//! tiers sign by; control flows are keyed by their exact shape
+//! ([`vpo_rtl::cfg::control_flow_shape`]).
 
 use std::collections::HashMap;
 
 use phase_order::enumerate::rematerialize;
+use phase_order::semantic::FlowRun;
 use phase_order::{Enumeration, NodeId};
 use vpo_opt::Target;
+use vpo_rtl::cfg::control_flow_shape;
 use vpo_rtl::{Function, Program};
 use vpo_sim::{Machine, SimError};
 
@@ -77,8 +82,9 @@ pub fn leaf_dynamic_counts(
     args: &[i32],
     target: &Target,
 ) -> Result<CfInference, SimError> {
-    // counts per control-flow signature, measured once.
-    let mut measured: HashMap<u64, Vec<u64>> = HashMap::new();
+    // One counted run per exact control-flow shape.
+    let mut measured: HashMap<Vec<u8>, FlowRun> = HashMap::new();
+    let mut machine = Machine::new(program);
     let mut leaves = Vec::new();
     let mut executions = 0;
     for (id, node) in e.space.iter() {
@@ -87,18 +93,15 @@ pub fn leaf_dynamic_counts(
         }
         let f = rematerialize(base, target, &e.space, id);
         debug_assert_eq!(vpo_rtl::canon::fingerprint(&f), node.fp);
-        let (block_counts, was_measured) = match measured.get(&node.cf_sig) {
-            Some(c) => (c.clone(), false),
-            None => {
-                let mut m = Machine::new(program);
-                let (_, counts) = m.call_instance_counted(&f, args)?;
-                executions += 1;
-                measured.insert(node.cf_sig, counts.clone());
-                (counts, true)
-            }
-        };
-        let dynamic: u64 =
-            f.blocks.iter().zip(&block_counts).map(|(b, &n)| b.insts.len() as u64 * n).sum();
+        let shape = control_flow_shape(&f);
+        let was_measured = !measured.contains_key(&shape);
+        if was_measured {
+            let li = machine.lower_instance(&f);
+            let run = FlowRun::measure(&mut machine, &li, args)?;
+            executions += 1;
+            measured.insert(shape.clone(), run);
+        }
+        let dynamic = measured[&shape].own(&f);
         leaves.push(LeafCount {
             node: id,
             static_size: node.inst_count,
