@@ -639,6 +639,7 @@ fn audit_quotient_cmd(argv: &[String]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use phase_order::tmp_dir::TmpDir;
 
     #[test]
     fn parse_seq_round_trips() {
@@ -652,8 +653,7 @@ mod tests {
 
     #[test]
     fn end_to_end_commands() {
-        let dir = std::env::temp_dir().join("vpoc_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TmpDir::new(&format!("vpoc_test_{}", std::process::id()));
         let file = dir.join("t.mc");
         std::fs::write(&file, "int triple(int x) { return x * 3; }").unwrap();
         let path = file.to_str().unwrap().to_owned();
@@ -700,8 +700,7 @@ mod tests {
 
     #[test]
     fn unknown_function_filters_are_errors() {
-        let dir = std::env::temp_dir().join("vpoc_test_filter");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TmpDir::new(&format!("vpoc_test_filter_{}", std::process::id()));
         let file = dir.join("t.mc");
         std::fs::write(&file, "int triple(int x) { return x * 3; }").unwrap();
         let path = file.to_str().unwrap().to_owned();
@@ -714,8 +713,7 @@ mod tests {
 
     #[test]
     fn budget_only_applies_to_campaign_and_serve() {
-        let dir = std::env::temp_dir().join("vpoc_test_budget");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TmpDir::new(&format!("vpoc_test_budget_{}", std::process::id()));
         let file = dir.join("t.mc");
         std::fs::write(&file, "int triple(int x) { return x * 3; }").unwrap();
         let path = file.to_str().unwrap().to_owned();
@@ -730,8 +728,7 @@ mod tests {
 
     #[test]
     fn dot_needs_exactly_one_function() {
-        let dir = std::env::temp_dir().join("vpoc_test_dot");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TmpDir::new(&format!("vpoc_test_dot_{}", std::process::id()));
         let file = dir.join("two.mc");
         std::fs::write(&file, "int one(int x) { return x; }\nint two(int x) { return x + x; }")
             .unwrap();
@@ -743,8 +740,7 @@ mod tests {
 
     #[test]
     fn metrics_flag_writes_a_snapshot() {
-        let dir = std::env::temp_dir().join("vpoc_test_metrics");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TmpDir::new(&format!("vpoc_test_metrics_{}", std::process::id()));
         let file = dir.join("m.mc");
         std::fs::write(&file, "int quad(int x) { return x * 4; }").unwrap();
         let path = file.to_str().unwrap().to_owned();
@@ -758,7 +754,6 @@ mod tests {
         assert!(json.contains("\"schema\": \"phase-order-telemetry-v1\""), "{json}");
         assert!(json.contains("\"enumerate.nodes_inserted\""), "{json}");
         assert!(json.contains("\"enumerate.level_wall_ns\""), "{json}");
-        std::fs::remove_file(&out).ok();
     }
 
     #[test]
@@ -777,8 +772,7 @@ mod tests {
 
     #[test]
     fn campaign_end_to_end_with_resume() {
-        let dir = std::env::temp_dir().join("vpoc_test_campaign");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TmpDir::new(&format!("vpoc_test_campaign_{}", std::process::id()));
         let file = dir.join("two.mc");
         std::fs::write(
             &file,
@@ -813,7 +807,5 @@ mod tests {
         assert!(run(&["campaign".into(), path.clone(), store_arg]).is_err());
         // A campaign needs no store at all.
         run(&["campaign".into(), path, "--max-nodes=500".into()]).unwrap();
-        std::fs::remove_file(&store).ok();
-        std::fs::remove_file(&full).ok();
     }
 }

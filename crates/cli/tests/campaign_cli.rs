@@ -11,6 +11,8 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
+use phase_order::tmp_dir::TmpDir;
+
 const BENCH: &str = "bitcount";
 const MAX_NODES: &str = "400";
 
@@ -29,10 +31,12 @@ fn campaign_args(store: &Path, jobs: usize) -> Vec<String> {
     ]
 }
 
-fn tmp(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("vpoc_cli_campaign_{}_{tag}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join("campaign.store")
+/// A scratch directory for one store, removed when the guard drops, and
+/// the store path in it.
+fn tmp(tag: &str) -> (TmpDir, PathBuf) {
+    let dir = TmpDir::new(&format!("vpoc_cli_campaign_{}_{tag}", std::process::id()));
+    let path = dir.join("campaign.store");
+    (dir, path)
 }
 
 fn run_to_completion(store: &Path, jobs: usize) {
@@ -43,13 +47,13 @@ fn run_to_completion(store: &Path, jobs: usize) {
 
 #[test]
 fn killed_campaign_resumes_to_identical_store() {
-    let reference = tmp("reference");
+    let (_dir, reference) = tmp("reference");
     run_to_completion(&reference, 2);
     let want = std::fs::read(&reference).unwrap();
     std::fs::remove_file(&reference).ok();
 
     for jobs in [1usize, 4] {
-        let store = tmp(&format!("kill_j{jobs}"));
+        let (_dir, store) = tmp(&format!("kill_j{jobs}"));
         std::fs::remove_file(&store).ok();
 
         // Kill the campaign at a few arbitrary points in its run. Some
@@ -87,7 +91,7 @@ fn killed_campaign_resumes_to_identical_store() {
 
 #[test]
 fn campaign_reports_an_aggregate_table() {
-    let store = tmp("table");
+    let (_dir, store) = tmp("table");
     std::fs::remove_file(&store).ok();
     let out = vpoc().args(campaign_args(&store, 2)).output().unwrap();
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));

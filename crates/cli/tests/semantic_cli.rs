@@ -5,20 +5,24 @@
 //! bogus tier name is rejected with a usable message, and so are an
 //! empty battery and the retired `--sim-engine` flag.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 use phase_order::campaign::store::ResultStore;
+use phase_order::tmp_dir::TmpDir;
 
 fn vpoc() -> Command {
     Command::new(env!("CARGO_BIN_EXE_vpoc"))
 }
 
-/// Writes the bitcount kernel source to a temp `.mc` file — `explore`
-/// and `dot` take files, not `--bench` names.
-fn bitcount_mc() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("vpoc_cli_semantic_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+/// A scratch directory for one test, removed when the guard drops.
+fn tmp_dir(tag: &str) -> TmpDir {
+    TmpDir::new(&format!("vpoc_cli_semantic_{}_{tag}", std::process::id()))
+}
+
+/// Writes the bitcount kernel source to a `.mc` file in `dir` —
+/// `explore` and `dot` take files, not `--bench` names.
+fn bitcount_mc(dir: &Path) -> PathBuf {
     let file = dir.join("bitcount.mc");
     std::fs::write(&file, mibench::find("bitcount").unwrap().source).unwrap();
     file
@@ -36,7 +40,8 @@ fn run_ok(args: &[&str]) -> Output {
 
 #[test]
 fn explore_reports_both_dag_sizes_under_the_semantic_tier() {
-    let file = bitcount_mc();
+    let dir = tmp_dir("explore");
+    let file = bitcount_mc(&dir);
     let path = file.to_str().unwrap();
 
     let fp = run_ok(&["explore", path, "bit_count"]);
@@ -87,7 +92,8 @@ fn verify_revalidates_semantic_merges_paranoid() {
 
 #[test]
 fn dot_renders_semantic_edges_dashed() {
-    let file = bitcount_mc();
+    let dir = tmp_dir("dot");
+    let file = bitcount_mc(&dir);
     let path = file.to_str().unwrap();
     let fp = run_ok(&["dot", path, "bit_count"]);
     assert!(!String::from_utf8_lossy(&fp.stdout).contains("style=dashed"));
@@ -99,8 +105,7 @@ fn dot_renders_semantic_edges_dashed() {
 
 #[test]
 fn campaign_persists_semantic_counters() {
-    let dir = std::env::temp_dir().join(format!("vpoc_cli_semantic_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = tmp_dir("campaign");
     let store = dir.join("semantic.store");
     std::fs::remove_file(&store).ok();
     run_ok(&[
@@ -117,12 +122,12 @@ fn campaign_persists_semantic_counters() {
     let merges: u64 = parsed.records.iter().map(|r| r.sem_merges).sum();
     assert!(merges > 0, "semantic campaign recorded no merges");
     assert!(parsed.records.iter().all(|r| r.sem_collisions == 0), "paranoid refuted a merge");
-    std::fs::remove_file(&store).ok();
 }
 
 #[test]
 fn unknown_merge_tier_is_rejected() {
-    let file = bitcount_mc();
+    let dir = tmp_dir("tier");
+    let file = bitcount_mc(&dir);
     let out = vpoc()
         .args(["explore", file.to_str().unwrap(), "--merge-tier", "syntactic"])
         .output()
@@ -150,7 +155,8 @@ fn empty_battery_is_rejected() {
 /// interpreter lives only in the test suite.
 #[test]
 fn sim_engine_flag_is_unknown() {
-    let file = bitcount_mc();
+    let dir = tmp_dir("sim_engine");
+    let file = bitcount_mc(&dir);
     let path = file.to_str().unwrap();
     for args in [
         vec!["verify", "--bench", "bitcount", "bit_count", "--sim-engine=both"],

@@ -13,7 +13,8 @@ use std::path::Path;
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
-use common::{Daemon, TmpDir};
+use common::Daemon;
+use phase_order::tmp_dir::TmpDir;
 
 const BENCH: &str = "bitcount";
 const MAX_NODES: &str = "400";

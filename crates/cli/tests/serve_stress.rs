@@ -23,7 +23,8 @@ use std::process::{Command, Stdio};
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
-use common::{Daemon, TmpDir};
+use common::Daemon;
+use phase_order::tmp_dir::TmpDir;
 
 use phase_order::campaign::store::{shard_of, shard_path, ResultStore};
 use phase_order::service::{Request, Response, Served};

@@ -961,6 +961,7 @@ pub fn save_store(store: &ResultStore, path: &Path) -> Result<(), StoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tmp_dir::TmpDir;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn tasks_from(src: &str) -> Vec<FunctionTask> {
@@ -982,10 +983,12 @@ mod tests {
         )
     }
 
-    fn tmp_store(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("vpoc_campaign_{}_{tag}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join("campaign.store")
+    /// A scratch directory for one test, removed when the guard drops,
+    /// and the store path in it.
+    fn tmp_store(tag: &str) -> (TmpDir, PathBuf) {
+        let dir = TmpDir::new(&format!("vpoc_campaign_{}_{tag}", std::process::id()));
+        let path = dir.join("campaign.store");
+        (dir, path)
     }
 
     #[test]
@@ -1038,7 +1041,7 @@ mod tests {
         let target = Target::default();
         let mut stores = Vec::new();
         for jobs in [0usize, 1, 4, 8] {
-            let path = tmp_store(&format!("jobs{jobs}"));
+            let (_dir, path) = tmp_store(&format!("jobs{jobs}"));
             std::fs::remove_file(&path).ok();
             let config = CampaignConfig { jobs, ..CampaignConfig::default() };
             run(three_functions(), &target, Some(&path), &config, &NullObserver).unwrap();
@@ -1053,7 +1056,7 @@ mod tests {
     #[test]
     fn interrupt_and_resume_converge_for_every_cut_point() {
         let target = Target::default();
-        let uninterrupted = tmp_store("full");
+        let (_dir, uninterrupted) = tmp_store("full");
         std::fs::remove_file(&uninterrupted).ok();
         run(
             three_functions(),
@@ -1066,7 +1069,7 @@ mod tests {
         let want = std::fs::read(&uninterrupted).unwrap();
         for cut in 1..=2usize {
             for jobs in [1usize, 4] {
-                let path = tmp_store(&format!("cut{cut}_j{jobs}"));
+                let (_dir, path) = tmp_store(&format!("cut{cut}_j{jobs}"));
                 std::fs::remove_file(&path).ok();
                 let stopped =
                     CampaignConfig { jobs, stop_after: Some(cut), ..CampaignConfig::default() };
@@ -1137,7 +1140,7 @@ mod tests {
             done: AtomicUsize::new(0),
             flushed: AtomicUsize::new(0),
         };
-        let path = tmp_store("observer");
+        let (_dir, path) = tmp_store("observer");
         std::fs::remove_file(&path).ok();
         let target = Target::default();
         run(
@@ -1166,7 +1169,7 @@ mod tests {
         ));
 
         // Existing store without --resume.
-        let path = tmp_store("misuse");
+        let (_dir, path) = tmp_store("misuse");
         std::fs::remove_file(&path).ok();
         run(three_functions(), &target, Some(&path), &CampaignConfig::default(), &NullObserver)
             .unwrap();
@@ -1199,7 +1202,7 @@ mod tests {
     #[test]
     fn budget_capped_sessions_converge_on_uncapped_bytes() {
         let target = Target::default();
-        let uncapped = tmp_store("uncapped");
+        let (_dir, uncapped) = tmp_store("uncapped");
         std::fs::remove_file(&uncapped).ok();
         let full = run(
             three_functions(),
@@ -1213,7 +1216,7 @@ mod tests {
         let total_nodes: u64 = full.records.iter().map(|r| r.fn_instances).sum();
         assert_eq!(full.expanded, total_nodes, "each instance is expanded exactly once");
 
-        let path = tmp_store("budget");
+        let (_dir, path) = tmp_store("budget");
         std::fs::remove_file(&path).ok();
         let mut expanded = 0u64;
         let mut sessions = 0usize;
@@ -1257,13 +1260,13 @@ mod tests {
             }
         }
         let target = Target::default();
-        let uncapped = tmp_store("cancel_full");
+        let (_dir, uncapped) = tmp_store("cancel_full");
         std::fs::remove_file(&uncapped).ok();
         run(three_functions(), &target, Some(&uncapped), &CampaignConfig::default(), &NullObserver)
             .unwrap();
         let want = std::fs::read(&uncapped).unwrap();
 
-        let path = tmp_store("cancel");
+        let (_dir, path) = tmp_store("cancel");
         std::fs::remove_file(&path).ok();
         let flag = Arc::new(AtomicBool::new(false));
         let obs = CancelAfterLevels(Arc::clone(&flag), AtomicUsize::new(0));
@@ -1384,7 +1387,7 @@ mod tests {
         // Jobs sweep: expansion order races, merge order does not.
         let mut stores = Vec::new();
         for jobs in [0usize, 2, 8] {
-            let path = tmp_store(&format!("pruned_jobs{jobs}"));
+            let (_dir, path) = tmp_store(&format!("pruned_jobs{jobs}"));
             std::fs::remove_file(&path).ok();
             run(semantic_tasks(), &target, Some(&path), &pruned(jobs), &NullObserver).unwrap();
             stores.push(std::fs::read(&path).unwrap());
@@ -1403,7 +1406,7 @@ mod tests {
         // Budgeted sessions (frontiers persisting pruned nodes) converge
         // on the uncapped bytes, at every job count.
         for jobs in [0usize, 2, 8] {
-            let path = tmp_store(&format!("pruned_budget_j{jobs}"));
+            let (_dir, path) = tmp_store(&format!("pruned_budget_j{jobs}"));
             std::fs::remove_file(&path).ok();
             let mut sessions = 0;
             loop {
@@ -1430,7 +1433,7 @@ mod tests {
     #[test]
     fn pruned_and_annotation_stores_never_interchange() {
         let target = Target::default();
-        let path = tmp_store("tier_mismatch");
+        let (_dir, path) = tmp_store("tier_mismatch");
         std::fs::remove_file(&path).ok();
         let pruned = CampaignConfig {
             semantic: Some(SemanticConfig::default()),
@@ -1454,7 +1457,7 @@ mod tests {
     #[test]
     fn resume_on_complete_store_is_a_noop() {
         let target = Target::default();
-        let path = tmp_store("noop");
+        let (_dir, path) = tmp_store("noop");
         std::fs::remove_file(&path).ok();
         run(three_functions(), &target, Some(&path), &CampaignConfig::default(), &NullObserver)
             .unwrap();

@@ -910,6 +910,7 @@ mod tests {
     use crate::enumerate::Config;
     use crate::request::MergeTier;
     use crate::semantic::SemanticConfig;
+    use crate::tmp_dir::TmpDir;
 
     fn sample_record(name: &str, seed: u64) -> FunctionRecord {
         let mut active_counts = [0u64; PhaseId::COUNT];
@@ -1276,20 +1277,17 @@ mod tests {
 
     #[test]
     fn save_is_atomic_and_loads_back() {
-        let dir = std::env::temp_dir().join(format!("vpoc_store_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TmpDir::new(&format!("vpoc_store_{}", std::process::id()));
         let path = dir.join("campaign.store");
         let s = store_with_frontier();
         s.save(&path).unwrap();
         assert!(!path.with_file_name("campaign.store.tmp").exists(), "tmp file left behind");
         assert_eq!(ResultStore::load(&path).unwrap(), s);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn load_and_save_errors_name_the_path() {
-        let dir = std::env::temp_dir().join(format!("vpoc_store_err_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TmpDir::new(&format!("vpoc_store_err_{}", std::process::id()));
         let missing = dir.join("no_such.store");
         let err = ResultStore::load(&missing).unwrap_err().to_string();
         assert!(err.contains("reading store"), "{err}");
@@ -1305,7 +1303,6 @@ mod tests {
         let err = sample_store().save(&bad_target).unwrap_err().to_string();
         assert!(err.contains("writing store"), "{err}");
         assert!(err.contains("x.store"), "{err}");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

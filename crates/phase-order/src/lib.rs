@@ -81,6 +81,8 @@ pub mod semantic;
 pub mod service;
 pub mod space;
 pub mod telemetry;
+#[doc(hidden)]
+pub mod tmp_dir;
 pub mod wire;
 
 pub use enumerate::{

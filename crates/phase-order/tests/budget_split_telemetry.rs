@@ -17,6 +17,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use phase_order::campaign::{run, CampaignConfig, FunctionTask, NullObserver};
+use phase_order::tmp_dir::TmpDir;
 use phase_order::{telemetry, SemanticConfig};
 use vpo_opt::Target;
 
@@ -55,12 +56,13 @@ fn enumerate_counters(work: impl FnOnce()) -> (Vec<(&'static str, u64)>, u64) {
     (counters, simulations)
 }
 
-fn tmp_store(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("vpoc_split_telemetry_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("{tag}.store"));
+/// A scratch directory for one store, removed when the guard drops, and
+/// the (absent) store path in it.
+fn tmp_store(tag: &str) -> (TmpDir, PathBuf) {
+    let dir = TmpDir::new(&format!("vpoc_split_telemetry_{}_{tag}", std::process::id()));
+    let path = dir.join("campaign.store");
     std::fs::remove_file(&path).ok();
-    path
+    (dir, path)
 }
 
 #[test]
@@ -96,7 +98,7 @@ fn enumeration_counters_add_up_over_budget_split_sessions() {
             let inserted = uncapped.iter().find(|(n, _)| *n == "enumerate.nodes_inserted");
             assert_eq!(inserted.map(|&(_, v)| v), Some(instances), "{tier} jobs {jobs}");
 
-            let path = tmp_store(&format!("{tier}_j{jobs}"));
+            let (_dir, path) = tmp_store(&format!("{tier}_j{jobs}"));
             let mut split = vec![0u64; uncapped.len()];
             let mut split_simulations = 0;
             let mut sessions = 0;

@@ -11,6 +11,7 @@ use std::sync::Arc;
 use phase_order::campaign::store::ResultStore;
 use phase_order::campaign::{run, CampaignConfig, FunctionTask, NullObserver};
 use phase_order::enumerate::Config;
+use phase_order::tmp_dir::TmpDir;
 use phase_order::SemanticConfig;
 use vpo_opt::Target;
 
@@ -44,10 +45,12 @@ fn tasks() -> Vec<FunctionTask> {
     tasks_from(SOURCE)
 }
 
-fn tmp_store(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("vpoc_partial_{}_{tag}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join("campaign.store")
+/// A scratch directory for one store, removed when the guard drops, and
+/// the store path in it.
+fn tmp_store(tag: &str) -> (TmpDir, PathBuf) {
+    let dir = TmpDir::new(&format!("vpoc_partial_{}_{tag}", std::process::id()));
+    let path = dir.join("campaign.store");
+    (dir, path)
 }
 
 /// Runs budget-capped sessions (first fresh, then `--resume`) until the
@@ -81,7 +84,7 @@ fn deplete(
 #[test]
 fn budgeted_sessions_match_uncapped_for_all_job_counts() {
     let target = Target::default();
-    let reference = tmp_store("fp_reference");
+    let (_dir, reference) = tmp_store("fp_reference");
     std::fs::remove_file(&reference).ok();
     let full = run(
         tasks(),
@@ -97,7 +100,7 @@ fn budgeted_sessions_match_uncapped_for_all_job_counts() {
     assert_eq!(full.expanded, total_nodes, "uncapped run expands each instance exactly once");
 
     for jobs in [0usize, 2, 8] {
-        let path = tmp_store(&format!("fp_j{jobs}"));
+        let (_dir, path) = tmp_store(&format!("fp_j{jobs}"));
         let base = CampaignConfig { jobs, ..CampaignConfig::default() };
         let (bytes, expanded, sessions) = deplete(&path, &base, 2, tasks);
         assert!(sessions > 1, "jobs={jobs}: a budget of 2 must force suspension");
@@ -121,7 +124,7 @@ fn budgeted_sessions_match_uncapped_under_semantic_paranoid_tier() {
         ..CampaignConfig::default()
     };
     let small = || tasks_from(SMALL_SOURCE);
-    let reference = tmp_store("sem_reference");
+    let (_dir, reference) = tmp_store("sem_reference");
     std::fs::remove_file(&reference).ok();
     run(small(), &target, Some(&reference), &base, &NullObserver).unwrap();
     let want = std::fs::read(&reference).unwrap();
@@ -130,7 +133,7 @@ fn budgeted_sessions_match_uncapped_under_semantic_paranoid_tier() {
     // One serial depletion suffices here: job-count invariance is pinned
     // by the fingerprint-tier test above, this one pins the semantic and
     // paranoid state rebuild across suspensions.
-    let path = tmp_store("sem_budgeted");
+    let (_dir, path) = tmp_store("sem_budgeted");
     let (bytes, _, sessions) =
         deplete(&path, &CampaignConfig { jobs: 0, ..base.clone() }, 4, small);
     assert!(sessions > 1, "a budget of 4 must force suspension");

@@ -13,6 +13,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use phase_order::campaign::{run, CampaignConfig, FunctionTask, NullObserver};
+use phase_order::tmp_dir::TmpDir;
 use phase_order::{telemetry, Config, SemanticConfig};
 use vpo_opt::Target;
 
@@ -33,18 +34,19 @@ fn tasks(bench: &str) -> Vec<FunctionTask> {
         .collect()
 }
 
-fn tmp_store(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("vpoc_sign_stage_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("{tag}.store"));
+/// A scratch directory for one store, removed when the guard drops, and
+/// the (absent) store path in it.
+fn tmp_store(tag: &str) -> (TmpDir, PathBuf) {
+    let dir = TmpDir::new(&format!("vpoc_sign_stage_{}_{tag}", std::process::id()));
+    let path = dir.join("campaign.store");
     std::fs::remove_file(&path).ok();
-    path
+    (dir, path)
 }
 
 /// Runs one campaign from a zeroed registry; returns its store bytes
 /// and every deterministic counter it left behind.
 fn campaign(bench: &str, config: &CampaignConfig, tag: &str) -> (Vec<u8>, Vec<(String, u64)>) {
-    let path = tmp_store(tag);
+    let (_dir, path) = tmp_store(tag);
     let tm = telemetry::global();
     tm.reset();
     run(tasks(bench), &Target::default(), Some(&path), config, &NullObserver).unwrap();

@@ -257,12 +257,18 @@ impl PhaseId {
     ///   unreachable (exact);
     /// * the three loop phases (`g`, `j`, `l`) all iterate the natural
     ///   loops of the CFG and are dormant without one;
+    /// * the loop transformations (`l`) also need, in some loop, an
+    ///   instruction that passes code motion's pure candidate tests or a
+    ///   shift or multiply of a basic induction variable — but spilling
+    ///   can add loads to a loop, so the rule only fires once
+    ///   `regs_assigned` is already true;
     /// * block reordering moves a block only to replace a terminating
     ///   jump, so some jump must exist;
-    /// * register allocation needs an eligible local, and eligible
-    ///   locals are a subset of scalar locals — but spilling during the
-    ///   implicit assignment can *create* scalar locals, so the rule
-    ///   only fires once `regs_assigned` is already true;
+    /// * register allocation needs an eligible local, and an eligible
+    ///   local is a scalar slot whose address occurs somewhere — but
+    ///   spilling during the implicit assignment can *create* scalar
+    ///   locals and their addresses, so the rule only fires once
+    ///   `regs_assigned` is already true;
     /// * code abstraction's cross-jump form needs predecessors ending in
     ///   explicit jumps and its hoist form needs a two-way (conditional)
     ///   branch;
@@ -283,8 +289,12 @@ impl PhaseId {
         match self {
             PhaseId::BranchChain | PhaseId::BlockReorder => facts.has_jump,
             PhaseId::Unreachable => facts.has_unreachable,
-            PhaseId::LoopUnroll | PhaseId::LoopJumps | PhaseId::LoopXform => facts.loop_count > 0,
-            PhaseId::RegAlloc => !facts.flags.regs_assigned || facts.has_scalar_local,
+            PhaseId::LoopUnroll | PhaseId::LoopJumps => facts.loop_count > 0,
+            PhaseId::LoopXform => {
+                facts.loop_count > 0
+                    && (!facts.flags.regs_assigned || facts.has_loop_xform_candidate)
+            }
+            PhaseId::RegAlloc => !facts.flags.regs_assigned || facts.has_scalar_local_addr,
             PhaseId::CodeAbstract => facts.has_jump || facts.has_cond_branch,
             PhaseId::StrengthReduce => facts.has_mul,
             PhaseId::ReverseBranch => facts.has_cond_branch,

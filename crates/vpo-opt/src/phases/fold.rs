@@ -1,5 +1,5 @@
-//! Shared constant-folding and algebraic simplification over RTL
-//! expressions, used by instruction selection and CSE.
+//! Constant folding and algebraic simplification over RTL expressions,
+//! used by instruction selection.
 
 use vpo_rtl::{BinOp, Expr, UnOp};
 
@@ -18,6 +18,11 @@ pub fn fold_expr(e: &Expr) -> (Expr, bool) {
 }
 
 /// In-place version of [`fold_expr`].
+///
+/// One call reaches the fixpoint ([`would_fold`] is false afterwards)
+/// except where an identity builds a negation of a negation (`x * -1` or
+/// `0 - x` over a negated `x`). Instruction selection relies on that:
+/// no legal instruction negates anything but a register.
 pub fn fold_in_place(e: &mut Expr) -> bool {
     let mut changed = false;
     if let Expr::Bin(op, a, b) = e {

@@ -35,12 +35,29 @@
 //! * so every block before the committing one keeps its instructions and
 //!   its live-out set, and every candidate it rejected stays rejected.
 //!
-//! Two commits can change liveness, and both fall back to a restart at
-//! block 0 with the liveness dropped: folding the merged instruction
-//! dropped a register read (`t0 = 0; t1 = t0 * r2` → `t1 = 0`, detected
-//! by the merged instruction reading fewer than `reads(consumer) − 1 +
-//! reads(e)` registers), or the post-commit constant-folding pass changed
-//! some instruction.
+//! One commit can change liveness: folding the merged instruction dropped
+//! a register read (`t0 = 0; t1 = t0 * r2` → `t1 = 0`, detected by the
+//! merged instruction reading fewer than `reads(consumer) − 1 + reads(e)`
+//! registers). It falls back to a restart at block 0 with the liveness
+//! dropped.
+//!
+//! # Work a commit cannot change
+//!
+//! * **Illegal pairs are remembered.** The merged instruction is a
+//!   function of the definition and the consumer alone, so a pair whose
+//!   merge was illegal stays illegal until a commit changes or removes
+//!   one of the two. The combiner remembers such pairs by position and
+//!   re-indexes them when a commit removes an instruction; a restart
+//!   keeps them, since it changes no instruction.
+//! * **No folding pass after a commit.** The phase folds every
+//!   instruction once up front. After that, a commit changes only the
+//!   merged instruction, which is folded before its legality check, and
+//!   a legal instruction that came out of [`fold::fold_in_place`] folds
+//!   no further: `fold_in_place` leaves a foldable expression only by
+//!   building a negation of a negation (`x * -1` or `0 - x` over a
+//!   negated `x`), and no legal instruction negates anything but a
+//!   register. Every other instruction is as the last pass left it, so
+//!   a second pass would change nothing.
 
 use std::cell::Cell;
 
@@ -68,16 +85,15 @@ pub fn run(f: &mut Function, target: &Target) -> bool {
     // Standalone constant folding first (part of this phase in VPO).
     let mut changed = fold_pass(f, target);
     let mut lv: Option<Liveness> = None;
+    let mut illegal = IllegalPairs::default();
     let mut e_regs: Vec<Reg> = Vec::new();
     let mut bi = 0;
     while bi < f.blocks.len() {
-        match combine_in_block(f, bi, target, &mut lv, &mut e_regs) {
+        match combine_in_block(f, bi, target, &mut lv, &mut illegal, &mut e_regs) {
             Step::Exhausted => bi += 1,
             Step::Committed { reads_kept } => {
                 changed = true;
-                // Folding opportunities may appear after combining.
-                let folded = fold_pass(f, target);
-                if folded || !reads_kept {
+                if !reads_kept {
                     lv = None;
                     bi = 0;
                 }
@@ -122,17 +138,64 @@ enum Step {
     Committed { reads_kept: bool },
 }
 
+/// Definition→consumer pairs whose merged instruction was illegal:
+/// `consumer[bi][ii]` is one past the index of the consumer that the
+/// definition at `ii` of block `bi` failed to merge into, or 0.
+#[derive(Default)]
+struct IllegalPairs {
+    consumer: Vec<Vec<u32>>,
+}
+
+impl IllegalPairs {
+    fn contains(&self, bi: usize, ii: usize, jj: usize) -> bool {
+        self.consumer.get(bi).and_then(|b| b.get(ii)) == Some(&(jj as u32 + 1))
+    }
+
+    fn insert(&mut self, f: &Function, bi: usize, ii: usize, jj: usize) {
+        if self.consumer.is_empty() {
+            self.consumer.resize_with(f.blocks.len(), Vec::new);
+        }
+        let b = &mut self.consumer[bi];
+        if b.is_empty() {
+            b.resize(f.blocks[bi].insts.len(), 0);
+        }
+        b[ii] = jj as u32 + 1;
+    }
+
+    /// Re-indexes block `bi` after the definition at `ii` merged into the
+    /// consumer at `jj`: the pairs naming either instruction are gone, and
+    /// every later instruction moved up by one.
+    fn committed(&mut self, bi: usize, ii: usize, jj: usize) {
+        let Some(b) = self.consumer.get_mut(bi).filter(|b| !b.is_empty()) else {
+            return;
+        };
+        let (gone, merged) = (ii as u32 + 1, jj as u32 + 1);
+        b[jj] = 0;
+        b.remove(ii);
+        for c in b.iter_mut() {
+            if *c == gone || *c == merged {
+                *c = 0;
+            } else if *c > gone {
+                *c -= 1;
+            }
+        }
+    }
+}
+
 /// Attempts one combine in block `bi`, scanning its definitions in order.
 ///
 /// Liveness is only consulted when a candidate survives every cheaper
 /// test, so it is built lazily into `lv`; the caller keeps it across
-/// commits that leave register liveness unchanged. The operand buffer
+/// commits that leave register liveness unchanged. A pair in `illegal` is
+/// skipped before any of the tests that follow the consumer search, and
+/// a pair whose merge turns out illegal joins it. The operand buffer
 /// `e_regs` is reused across candidates.
 fn combine_in_block(
     f: &mut Function,
     bi: usize,
     target: &Target,
     lv: &mut Option<Liveness>,
+    illegal: &mut IllegalPairs,
     e_regs: &mut Vec<Reg>,
 ) -> Step {
     let n = f.blocks[bi].insts.len();
@@ -162,7 +225,7 @@ fn combine_in_block(
             }
         }
         let Some(jj) = use_site else { continue };
-        if occurrences != 1 {
+        if occurrences != 1 || illegal.contains(bi, ii, jj) {
             continue;
         }
         // t must be dead after the consumer.
@@ -212,14 +275,25 @@ fn combine_in_block(
         merged.visit_exprs_mut(&mut |x| {
             fold::fold_in_place(x);
         });
-        if target.legal_inst(&merged) {
-            // Substitution traded the one read of t for e's reads; folding
-            // can only remove reads from there.
-            let reads_kept = reg_reads(&merged) == reg_reads(&insts[jj]) - 1 + e_regs.len();
-            f.blocks[bi].insts[jj] = merged;
-            f.blocks[bi].insts.remove(ii);
-            return Step::Committed { reads_kept };
+        if !target.legal_inst(&merged) {
+            illegal.insert(f, bi, ii, jj);
+            continue;
         }
+        debug_assert!(
+            {
+                let mut any = false;
+                merged.visit_exprs(&mut |x| any |= fold::would_fold(x));
+                !any
+            },
+            "a legal folded instruction folds no further: {merged}"
+        );
+        // Substitution traded the one read of t for e's reads; folding can
+        // only remove reads from there.
+        let reads_kept = reg_reads(&merged) == reg_reads(&insts[jj]) - 1 + e_regs.len();
+        f.blocks[bi].insts[jj] = merged;
+        f.blocks[bi].insts.remove(ii);
+        illegal.committed(bi, ii, jj);
+        return Step::Committed { reads_kept };
     }
     Step::Exhausted
 }
@@ -422,8 +496,9 @@ mod tests {
         'scan: loop {
             let mut lv = None;
             for bi in 0..f.blocks.len() {
+                let mut illegal = IllegalPairs::default();
                 if let Step::Committed { .. } =
-                    combine_in_block(f, bi, target, &mut lv, &mut e_regs)
+                    combine_in_block(f, bi, target, &mut lv, &mut illegal, &mut e_regs)
                 {
                     changed = true;
                     fold_pass(f, target);
@@ -432,6 +507,26 @@ mod tests {
             }
             return changed;
         }
+    }
+
+    #[test]
+    fn illegal_pairs_follow_commits() {
+        let mut f = Function::new("f");
+        f.blocks[0].insts = vec![Inst::Return { value: None }; 6];
+        let mut illegal = IllegalPairs::default();
+        for (ii, jj) in [(0, 1), (1, 3), (2, 4), (4, 5)] {
+            illegal.insert(&f, 0, ii, jj);
+        }
+        // The definition at 1 merges into the consumer at 3.
+        f.blocks[0].insts.remove(1);
+        illegal.committed(0, 1, 3);
+        // 0→1 named the removed definition; 2→4 and 4→5 moved up by one,
+        // and the merged instruction (now at 2) holds no entry.
+        assert!(!illegal.contains(0, 0, 0) && !illegal.contains(0, 0, 1));
+        assert!(illegal.contains(0, 1, 3));
+        assert!(!illegal.contains(0, 2, 3) && !illegal.contains(0, 2, 4));
+        assert!(illegal.contains(0, 3, 4));
+        assert!(!illegal.contains(0, 4, 5), "entries past the end are gone");
     }
 
     #[test]

@@ -59,19 +59,33 @@ fn step(f: &mut Function, target: &Target) -> bool {
     false
 }
 
-/// Per-register definition counts inside the loop: one scan serves the
-/// invariance tests (`contains_key`) and the single-definition tests
-/// (`== Some(&1)`) that previously re-scanned the loop per candidate.
-fn loop_def_counts(f: &Function, l: &NaturalLoop) -> std::collections::HashMap<Reg, usize> {
-    let mut defs = std::collections::HashMap::new();
-    for &bi in &l.body {
-        for inst in &f.blocks[bi].insts {
-            if let Some(d) = inst.def() {
-                *defs.entry(d).or_insert(0) += 1;
+/// Per-register definition counts inside a loop: one scan serves the
+/// invariance tests (`get(r) > 0`) and the single-definition tests
+/// (`get(r) == 1`). The loop phases run on assigned code, where only a
+/// handful of hard registers occur, so a list searched linearly beats a
+/// hash map.
+struct DefCounts(Vec<(Reg, usize)>);
+
+impl DefCounts {
+    fn of(f: &Function, l: &NaturalLoop) -> DefCounts {
+        let mut defs: Vec<(Reg, usize)> = Vec::new();
+        for &bi in &l.body {
+            for inst in &f.blocks[bi].insts {
+                if let Some(d) = inst.def() {
+                    match defs.iter_mut().find(|(r, _)| *r == d) {
+                        Some((_, n)) => *n += 1,
+                        None => defs.push((d, 1)),
+                    }
+                }
             }
         }
+        DefCounts(defs)
     }
-    defs
+
+    /// How many times the loop defines `r`.
+    fn get(&self, r: Reg) -> usize {
+        self.0.iter().find(|(x, _)| *x == r).map_or(0, |&(_, n)| n)
+    }
 }
 
 /// Whether any instruction in the loop may write memory.
@@ -156,7 +170,7 @@ fn loop_boundary_live(f: &Function, cfg: &Cfg, l: &NaturalLoop) -> HashSet<Reg> 
 
 /// Attempts one invariant code motion in loop `l`.
 fn licm_once(f: &mut Function, cfg: &Cfg, l: &NaturalLoop) -> bool {
-    let defs = loop_def_counts(f, l);
+    let defs = DefCounts::of(f, l);
     let mem_written = loop_writes_memory(f, l);
     // The liveness consultation is the expensive test, so it is deferred
     // until a candidate survives everything cheaper; `f` is not mutated
@@ -171,31 +185,7 @@ fn licm_once(f: &mut Function, cfg: &Cfg, l: &NaturalLoop) -> bool {
         for ii in 0..f.blocks[bi].insts.len() {
             let Inst::Assign { dst, src } = &f.blocks[bi].insts[ii] else { continue };
             let dst = *dst;
-            // Candidate tests.
-            if matches!(src, Expr::Reg(_) | Expr::Const(_)) {
-                continue; // moving trivial copies is not profitable
-            }
-            if src.reads_memory() && mem_written {
-                continue;
-            }
-            // Single definition of dst in the loop.
-            if defs.get(&dst) != Some(&1) {
-                continue;
-            }
-            operands.clear();
-            src.collect_regs(&mut operands);
-            if operands.iter().any(|r| defs.contains_key(r)) {
-                continue; // operands vary within the loop
-            }
-            // A division may trap; executing it when the loop would not
-            // have run at all would change behaviour.
-            let mut may_trap = false;
-            src.visit(&mut |e| {
-                if matches!(e, Expr::Bin(BinOp::Div | BinOp::Rem, ..)) {
-                    may_trap = true;
-                }
-            });
-            if may_trap {
+            if !licm_candidate(dst, src, &defs, mem_written, &mut operands) {
                 continue;
             }
             let live = boundary_live.get_or_insert_with(|| loop_boundary_live(f, cfg, l));
@@ -216,18 +206,84 @@ fn licm_once(f: &mut Function, cfg: &Cfg, l: &NaturalLoop) -> bool {
     false
 }
 
+/// The candidate tests [`licm_once`] applies before liveness: `dst = src`
+/// is the loop's only definition of `dst`, computes something (not a
+/// plain copy or constant), reads no memory the loop may write, reads no
+/// register the loop defines, and cannot trap. The tests are pure and
+/// independent of the target.
+fn licm_candidate(
+    dst: Reg,
+    src: &Expr,
+    defs: &DefCounts,
+    mem_written: bool,
+    operands: &mut Vec<Reg>,
+) -> bool {
+    if matches!(src, Expr::Reg(_) | Expr::Const(_)) {
+        return false; // moving trivial copies is not profitable
+    }
+    // Single definition of dst in the loop.
+    if defs.get(dst) != 1 {
+        return false;
+    }
+    if mem_written && src.reads_memory() {
+        return false;
+    }
+    operands.clear();
+    src.collect_regs(operands);
+    if operands.iter().any(|&r| defs.get(r) > 0) {
+        return false; // operands vary within the loop
+    }
+    // A division may trap; executing it when the loop would not have run
+    // at all would change behaviour.
+    let mut may_trap = false;
+    src.visit(&mut |e| {
+        if matches!(e, Expr::Bin(BinOp::Div | BinOp::Rem, ..)) {
+            may_trap = true;
+        }
+    });
+    !may_trap
+}
+
+/// Whether [`run`] could act on loop `l` of `f` as it stands: some
+/// instruction passes the [`licm_candidate`] tests, or some basic
+/// induction variable is shifted or multiplied in the loop, the only
+/// shapes [`strength_reduce_once`] rewrites. `false` proves both dormant
+/// on `l`. Like the tests it mirrors, it ignores the target.
+pub(crate) fn may_act(f: &Function, l: &NaturalLoop) -> bool {
+    let defs = DefCounts::of(f, l);
+    let mem_written = loop_writes_memory(f, l);
+    let mut operands = Vec::new();
+    let assigns = || {
+        l.body.iter().flat_map(|&bi| &f.blocks[bi].insts).filter_map(|i| match i {
+            Inst::Assign { dst, src } => Some((*dst, src)),
+            _ => None,
+        })
+    };
+    if assigns().any(|(dst, src)| licm_candidate(dst, src, &defs, mem_written, &mut operands)) {
+        return true;
+    }
+    let ivs = basic_ivs(f, l, &defs);
+    !ivs.is_empty()
+        && assigns().any(|(dst, src)| match src {
+            Expr::Bin(BinOp::Shl | BinOp::Mul, a, b) => ivs.iter().any(|&(iv, ..)| {
+                dst != iv && [a, b].iter().any(|x| matches!(***x, Expr::Reg(r) if r == iv))
+            }),
+            _ => false,
+        })
+}
+
 /// A basic induction variable: its single in-loop definition is
 /// `i = i + c` (or `i = i - c`). Returns `(block, index, step)`.
 fn basic_ivs(
     f: &Function,
     l: &NaturalLoop,
-    def_counts: &std::collections::HashMap<Reg, usize>,
+    def_counts: &DefCounts,
 ) -> Vec<(Reg, usize, usize, i64)> {
     let mut candidates = Vec::new();
     for &bi in &l.body {
         for (ii, inst) in f.blocks[bi].insts.iter().enumerate() {
             let Inst::Assign { dst, src } = inst else { continue };
-            if def_counts.get(dst) != Some(&1) {
+            if def_counts.get(*dst) != 1 {
                 continue;
             }
             let step = match src {
@@ -254,7 +310,7 @@ fn basic_ivs(
 /// `l`, where `i` is a basic IV whose step instruction follows the
 /// definition of `t` in the same block.
 fn strength_reduce_once(f: &mut Function, cfg: &Cfg, l: &NaturalLoop, target: &Target) -> bool {
-    let defs = loop_def_counts(f, l);
+    let defs = DefCounts::of(f, l);
     let ivs = basic_ivs(f, l, &defs);
     if ivs.is_empty() {
         return false;
@@ -286,7 +342,7 @@ fn strength_reduce_once(f: &mut Function, cfg: &Cfg, l: &NaturalLoop, target: &T
                     },
                     Expr::Bin(BinOp::Mul, a, b) => match (&**a, &**b) {
                         (Expr::Reg(r), Expr::Reg(m)) | (Expr::Reg(m), Expr::Reg(r))
-                            if *r == iv && !defs.contains_key(m) && *m != iv =>
+                            if *r == iv && defs.get(*m) == 0 && *m != iv =>
                         {
                             // step' = m * step needs a register; only the
                             // power-of-two steps stay single-instruction.
@@ -308,7 +364,7 @@ fn strength_reduce_once(f: &mut Function, cfg: &Cfg, l: &NaturalLoop, target: &T
                 // come after t's definition in the same block (so inserting
                 // the recurrence update right after the step keeps
                 // t == f(i) at t's use point).
-                if defs.get(&dst) != Some(&1) {
+                if defs.get(dst) != 1 {
                     continue;
                 }
                 let live = live_outside.get_or_insert_with(|| loop_boundary_live(f, cfg, l));

@@ -126,8 +126,7 @@ impl SlotFacts {
                 break;
             }
         }
-        let cfg2 = Cfg::build(f);
-        let entry = (0..nb).map(|bi| Self::meet(&cfg2, &out, bi)).collect();
+        let entry = (0..nb).map(|bi| Self::meet(&cfg, &out, bi)).collect();
         SlotFacts { entry }
     }
 

@@ -11,6 +11,7 @@ use exhaustive_phase_order as epo;
 use epo::explore::campaign::store::{ResultStore, StoreError};
 use epo::explore::campaign::{self, CampaignConfig, FunctionTask, NullObserver};
 use epo::explore::semantic::SemanticConfig;
+use epo::explore::tmp_dir::TmpDir;
 use epo::explore::Config;
 use epo::opt::Target;
 
@@ -34,15 +35,17 @@ fn config() -> CampaignConfig {
     }
 }
 
-fn tmp(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("epo_campaign_{}_{tag}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join("campaign.store")
+/// A scratch directory for one store, removed when the guard drops, and
+/// the store path in it.
+fn tmp(tag: &str) -> (TmpDir, PathBuf) {
+    let dir = TmpDir::new(&format!("epo_campaign_{}_{tag}", std::process::id()));
+    let path = dir.join("campaign.store");
+    (dir, path)
 }
 
 #[test]
 fn store_round_trips_through_disk() {
-    let path = tmp("roundtrip");
+    let (_dir, path) = tmp("roundtrip");
     std::fs::remove_file(&path).ok();
     let summary =
         campaign::run(bitcount_tasks(), &Target::default(), Some(&path), &config(), &NullObserver)
@@ -58,7 +61,7 @@ fn store_round_trips_through_disk() {
 
 #[test]
 fn damaged_stores_are_rejected() {
-    let path = tmp("damage");
+    let (_dir, path) = tmp("damage");
     std::fs::remove_file(&path).ok();
     campaign::run(bitcount_tasks(), &Target::default(), Some(&path), &config(), &NullObserver)
         .unwrap();
@@ -104,7 +107,7 @@ fn interrupted_campaign_resumes_to_identical_bytes() {
     let tasks = bitcount_tasks();
     let total = tasks.len();
 
-    let reference = tmp("reference");
+    let (_dir, reference) = tmp("reference");
     std::fs::remove_file(&reference).ok();
     campaign::run(tasks.clone(), &target, Some(&reference), &config(), &NullObserver).unwrap();
     let want = std::fs::read(&reference).unwrap();
@@ -114,7 +117,7 @@ fn interrupted_campaign_resumes_to_identical_bytes() {
     // must always converge on the reference bytes, serial or parallel.
     for cut in [1, total / 2, total - 1] {
         for jobs in [1usize, 4] {
-            let path = tmp(&format!("cut{cut}_j{jobs}"));
+            let (_dir, path) = tmp(&format!("cut{cut}_j{jobs}"));
             std::fs::remove_file(&path).ok();
             let interrupted = CampaignConfig { jobs, stop_after: Some(cut), ..config() };
             let s1 =
@@ -153,7 +156,7 @@ fn semantic_campaign_resumes_to_identical_bytes_across_job_counts() {
         ..config()
     };
 
-    let reference = tmp("sem_reference");
+    let (_dir, reference) = tmp("sem_reference");
     std::fs::remove_file(&reference).ok();
     campaign::run(tasks.clone(), &target, Some(&reference), &sem_config(), &NullObserver).unwrap();
     let want = std::fs::read(&reference).unwrap();
@@ -167,7 +170,7 @@ fn semantic_campaign_resumes_to_identical_bytes_across_job_counts() {
 
     // Any worker count produces the same bytes.
     for jobs in [0usize, 2, 8] {
-        let path = tmp(&format!("sem_j{jobs}"));
+        let (_dir, path) = tmp(&format!("sem_j{jobs}"));
         std::fs::remove_file(&path).ok();
         let c = CampaignConfig { jobs, ..sem_config() };
         campaign::run(tasks.clone(), &target, Some(&path), &c, &NullObserver).unwrap();
@@ -181,7 +184,7 @@ fn semantic_campaign_resumes_to_identical_bytes_across_job_counts() {
 
     // Kill at every checkpoint boundary, then resume.
     for cut in 1..total {
-        let path = tmp(&format!("sem_cut{cut}"));
+        let (_dir, path) = tmp(&format!("sem_cut{cut}"));
         std::fs::remove_file(&path).ok();
         let interrupted = CampaignConfig { stop_after: Some(cut), ..sem_config() };
         let s1 = campaign::run(tasks.clone(), &target, Some(&path), &interrupted, &NullObserver)

@@ -7,8 +7,10 @@
 //! `s`), then compares the two combiners byte for byte: the resulting
 //! `Function` and the active flag. It also checks the liveness budget:
 //! at most one CFG/liveness build per call, plus one per commit that
-//! invalidates the analysis (a fold that dropped a register read, or a
-//! post-commit folding pass that changed something).
+//! invalidates the analysis, which is a fold that dropped a register
+//! read. The oracle still runs a folding pass after every commit and
+//! would count one that changed something too; the combiner runs none,
+//! because such a pass never changes anything (`tests/fold_fixpoint.rs`).
 //!
 //! The default cases cover every instance of three MiBench spaces and
 //! 200 fuzz programs at every prefix of their batch sequence; the
