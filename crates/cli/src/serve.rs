@@ -18,10 +18,12 @@
 //! later ones *attach* and receive the runner's terminal response, so
 //! N clients asking for the same cold function cost one enumeration.
 //!
-//! Connections are accepted by a dedicated blocking listener thread
-//! feeding a bounded work queue drained by a fixed worker pool — no
-//! sleep-polling on the accept path (`serve.accept_wait_ns` measures
-//! time spent queued). Admission control caps concurrent enumerations
+//! Every worker of a fixed pool blocks in `accept` on the one listening
+//! socket and reads, answers and closes each connection it takes;
+//! connections beyond the busy workers wait in the kernel's listen
+//! backlog. Each read of a request frame times out after
+//! [`READ_DEADLINE`], so an idle connection holds a worker only that
+//! long. Admission control caps concurrent enumerations
 //! (`--max-active`) and cold requests waiting for a slot
 //! (`--max-queue`); requests beyond both get [`Response::Overloaded`]
 //! with a retry-after hint. Warm queries, `--list` and `--telemetry`
@@ -32,13 +34,13 @@
 //! suspends at its last merged level and checkpoints its frontier, the
 //! shards are flushed, the socket file removed, and the process exits 0.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::ErrorKind;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use phase_order::campaign::store::{self, FunctionRecord, ResultStore};
 use phase_order::campaign::{self, CampaignConfig, CampaignError, FunctionTask, Observer};
@@ -56,8 +58,13 @@ const DEFAULT_BUDGET: u64 = 10_000;
 const DEFAULT_MAX_ACTIVE: usize = 2;
 /// Default cap on cold requests waiting for an enumeration slot.
 const DEFAULT_MAX_QUEUE: usize = 16;
-/// Shutdown-poll interval for waits that must notice the signal flag
-/// (admission and the main drain loop — never the accept path).
+/// How long each read of a connection's request frame waits for bytes.
+/// A client that connects and sends nothing holds a worker for at most
+/// this long; the deadline bounds each read, not the whole frame.
+const READ_DEADLINE: Duration = Duration::from_secs(5);
+/// Interval at which the main thread polls [`SHUTDOWN`]: a signal
+/// handler can only store to an atomic, so this is the one wait that
+/// polls; every other wait blocks on a notification.
 const POLL: Duration = Duration::from_millis(25);
 
 /// Process-wide shutdown request, set by the signal handler or a
@@ -260,7 +267,7 @@ pub fn serve_cmd(argv: &[String]) -> Result<(), String> {
         })?;
     }
 
-    let daemon = Arc::new(Daemon {
+    let daemon = Daemon {
         records: seed.into_iter().map(|r| RwLock::new(r.map(Arc::new))).collect(),
         tasks,
         shards,
@@ -275,7 +282,7 @@ pub fn serve_cmd(argv: &[String]) -> Result<(), String> {
         default_budget: request.budget.unwrap_or(DEFAULT_BUDGET),
         target: Target::default(),
         cancel,
-    });
+    };
     // Flush every shard eagerly so the stores exist (with their config
     // echoes) before the first query, and a bad path fails at startup,
     // not mid-serve.
@@ -304,104 +311,62 @@ pub fn serve_cmd(argv: &[String]) -> Result<(), String> {
         daemon.max_queue,
     );
 
-    // Blocking listener thread → bounded work queue → worker pool. The
-    // accept path never sleeps: connections land in the queue the
-    // moment they arrive and a free worker picks them up immediately
-    // (`serve.accept_wait_ns` records the handoff latency).
-    type WorkQueue = (Mutex<VecDeque<(UnixStream, Instant)>>, Condvar);
+    // Every worker accepts, reads and answers its own connections.
     let workers = (max_active + max_queue + 4).max(8);
-    let queue_cap = workers * 2;
-    let work: Arc<WorkQueue> = Arc::new((Mutex::new(VecDeque::new()), Condvar::new()));
-
-    let listener_work = Arc::clone(&work);
-    let listener_daemon = Arc::clone(&daemon);
-    let listener_thread = std::thread::spawn(move || loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if SHUTDOWN.load(Ordering::SeqCst) {
-                    return;
-                }
-                let (q, cv) = &*listener_work;
-                let mut q = q.lock().unwrap();
-                if q.len() >= queue_cap {
-                    // Work queue saturated: refuse at the door rather
-                    // than building an unbounded backlog.
-                    drop(q);
-                    telemetry::global().serve_rejected.inc();
-                    let hint = listener_daemon.retry_after_ms(queue_cap);
-                    let mut s = &stream;
-                    let _ = write_frame(
-                        &mut s,
-                        &Response::Overloaded { retry_after_ms: hint }.to_bytes(),
-                    );
-                    continue;
-                }
-                q.push_back((stream, Instant::now()));
-                cv.notify_one();
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {
-                if SHUTDOWN.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            Err(_) => {
-                // A dead listener leaves the daemon unreachable; take
-                // the whole process down the graceful way.
-                SHUTDOWN.store(true, Ordering::SeqCst);
-                return;
-            }
+    std::thread::scope(|s| {
+        for _ in 0..workers {
+            s.spawn(|| serve_connections(&listener, &daemon));
         }
+        // The signal handler can only flip an atomic, so the main thread
+        // watches the flag and orchestrates the drain. `cancel` is stored
+        // before the admission lock is taken to notify, so no admission
+        // waiter misses the wake-up; then one connection per worker wakes
+        // every worker blocked in `accept`, and the scope joins them. The
+        // connections come from a detached thread: with the listen backlog
+        // full, `connect` would wait for a worker that has already exited,
+        // and it fails instead once the listener is dropped.
+        while !SHUTDOWN.load(Ordering::SeqCst) {
+            std::thread::sleep(POLL);
+        }
+        daemon.cancel.store(true, Ordering::SeqCst);
+        let adm = daemon.admission.lock().unwrap();
+        daemon.adm_cv.notify_all();
+        drop(adm);
+        let wake = sock.to_path_buf();
+        std::thread::spawn(move || {
+            for _ in 0..workers {
+                let _ = UnixStream::connect(&wake);
+            }
+        });
     });
-
-    let worker_threads: Vec<_> = (0..workers)
-        .map(|_| {
-            let work = Arc::clone(&work);
-            let d = Arc::clone(&daemon);
-            std::thread::spawn(move || loop {
-                let (q, cv) = &*work;
-                let job = {
-                    let mut q = q.lock().unwrap();
-                    loop {
-                        if let Some(job) = q.pop_front() {
-                            break Some(job);
-                        }
-                        if SHUTDOWN.load(Ordering::SeqCst) {
-                            break None;
-                        }
-                        q = cv.wait_timeout(q, POLL).unwrap().0;
-                    }
-                };
-                let Some((stream, enqueued)) = job else { return };
-                telemetry::global().serve_accept_wait_ns.observe(enqueued.elapsed());
-                handle(stream, &d);
-            })
-        })
-        .collect();
-
-    // The signal handler can only flip an atomic, so the main thread
-    // watches the flag and orchestrates the drain: wake the blocking
-    // accept with a self-connection, then join everything.
-    while !SHUTDOWN.load(Ordering::SeqCst) {
-        std::thread::sleep(POLL);
-    }
-    daemon.cancel.store(true, Ordering::SeqCst);
-    let _ = UnixStream::connect(sock); // unblock accept() so the listener sees SHUTDOWN
-    let _ = listener_thread.join();
-    work.1.notify_all();
-    daemon.adm_cv.notify_all();
-    for h in worker_threads {
-        let _ = h.join();
-    }
     std::fs::remove_file(sock).ok();
     eprintln!("vpod: checkpointed and shut down");
     Ok(())
 }
 
+/// One pool worker: accepts a connection, serves it to the end, and
+/// checks [`SHUTDOWN`] only then, so a connection accepted during the
+/// drain is still answered (warm queries from the memo, cold ones with
+/// [`Response::ShuttingDown`]).
+fn serve_connections(listener: &UnixListener, d: &Daemon) {
+    while !SHUTDOWN.load(Ordering::SeqCst) {
+        match listener.accept() {
+            Ok((stream, _)) => handle(stream, d),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            // A dead listener leaves the daemon unreachable; take the
+            // whole process down the graceful way.
+            Err(_) => SHUTDOWN.store(true, Ordering::SeqCst),
+        }
+    }
+}
+
 /// Serves one connection: read a request frame, answer (streaming
 /// progress frames for cold queries), close. All failure modes — short
-/// frames, CRC damage, unknown versions — become a clean error response
-/// (or a silent close when nothing arrived).
+/// frames, CRC damage, unknown versions, no frame within
+/// [`READ_DEADLINE`] — become a clean error response (or a silent close
+/// when the client closed before sending a byte).
 fn handle(mut stream: UnixStream, d: &Daemon) {
+    let _ = stream.set_read_timeout(Some(READ_DEADLINE));
     let response = match read_frame(&mut stream) {
         Ok(payload) => match Request::from_bytes(&payload) {
             Ok(req) => respond(d, req, &stream),
@@ -467,10 +432,7 @@ fn query(d: &Daemon, function: &str, budget: Option<u64>, stream: &UnixStream) -
                 let f = Arc::clone(f);
                 drop(inflight);
                 tm.serve_dedup_attached.inc();
-                let mut done = f.done.lock().unwrap();
-                while done.is_none() {
-                    done = f.cv.wait_timeout(done, POLL).unwrap().0;
-                }
+                let done = f.cv.wait_while(f.done.lock().unwrap(), |d| d.is_none()).unwrap();
                 return done.clone().unwrap();
             }
             None => {
@@ -518,7 +480,7 @@ fn run_admitted(d: &Daemon, i: usize, budget: Option<u64>, stream: &UnixStream) 
             adm.queued += 1;
             queued = true;
         }
-        adm = d.adm_cv.wait_timeout(adm, POLL).unwrap().0;
+        adm = d.adm_cv.wait(adm).unwrap();
     }
     drop(adm);
 

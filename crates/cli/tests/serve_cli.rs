@@ -2,7 +2,10 @@
 //! serve`, drive a cold function to completion with small per-request
 //! budgets, check the finished store is byte-identical to a direct
 //! uncapped `vpoc campaign`, SIGKILL the daemon, restart it on the same
-//! socket and store, and confirm warm answers survive the crash.
+//! socket and store, and confirm warm answers survive the crash. Also:
+//! SIGTERM drains, idle clients cannot pin the daemon past its read
+//! deadline, a sharded daemon adopts a legacy single store, and stores
+//! of other options or functions are refused.
 
 #![cfg(unix)]
 
@@ -14,10 +17,17 @@ use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
 use common::Daemon;
+use phase_order::campaign::store::{shard_path, FunctionRecord, ResultStore};
+use phase_order::service::Response;
 use phase_order::tmp_dir::TmpDir;
+use phase_order::wire::read_frame;
 
 const BENCH: &str = "bitcount";
 const MAX_NODES: &str = "400";
+/// How long the daemon waits for a request frame before answering the
+/// connection with an error, and the slack the tests allow past it.
+const READ_DEADLINE: Duration = Duration::from_secs(5);
+const MARGIN: Duration = Duration::from_secs(5);
 
 fn vpoc() -> Command {
     Command::new(env!("CARGO_BIN_EXE_vpoc"))
@@ -27,7 +37,7 @@ fn tmp_dir(tag: &str) -> TmpDir {
     TmpDir::new(&format!("vpoc_serve_{}_{tag}", std::process::id()))
 }
 
-fn spawn_daemon(store: &Path, socket: &Path) -> Daemon {
+fn spawn_daemon(store: &Path, socket: &Path, extra: &[&str]) -> Daemon {
     let child = vpoc()
         .args([
             "serve",
@@ -39,6 +49,7 @@ fn spawn_daemon(store: &Path, socket: &Path) -> Daemon {
             "--budget=20",
             "--jobs=2",
         ])
+        .args(extra)
         .stdout(Stdio::null())
         .stderr(Stdio::null())
         .spawn()
@@ -128,7 +139,7 @@ fn daemon_depletes_cold_queries_matches_campaign_and_survives_sigkill() {
     let campaign_stdout = String::from_utf8_lossy(&out.stdout).into_owned();
     let want = std::fs::read(&reference).unwrap();
 
-    let mut daemon = spawn_daemon(&store, &socket);
+    let mut daemon = spawn_daemon(&store, &socket, &[]);
     let names = list_names(&socket);
     assert!(!names.is_empty(), "daemon serves no functions");
     assert!(names.iter().all(|n| n.starts_with("bitcount::")), "{names:?}");
@@ -176,7 +187,7 @@ fn daemon_depletes_cold_queries_matches_campaign_and_survives_sigkill() {
 
     // Restart on the same socket and store: warm answers survive, no
     // enumeration re-runs, and the store bytes are untouched.
-    let mut daemon = spawn_daemon(&store, &socket);
+    let mut daemon = spawn_daemon(&store, &socket, &[]);
     let (ok, revived) = query(&socket, &[&names[0]]);
     assert!(ok, "{revived}");
     assert!(revived.contains("warm:"), "restarted daemon must answer warm:\n{revived}");
@@ -200,20 +211,103 @@ fn daemon_exits_cleanly_on_sigterm() {
         std::fs::remove_file(p).ok();
     }
 
-    let mut daemon = spawn_daemon(&store, &socket);
-    let term = Command::new("kill").args(["-TERM", &daemon.id().to_string()]).status().unwrap();
-    assert!(term.success());
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        if let Some(status) = daemon.try_wait().unwrap() {
-            assert!(status.success(), "SIGTERM must exit 0, got {status:?}");
-            break;
-        }
-        assert!(Instant::now() < deadline, "daemon ignored SIGTERM");
-        std::thread::sleep(Duration::from_millis(20));
-    }
+    let mut daemon = spawn_daemon(&store, &socket, &[]);
+    daemon.terminate();
+    let status = daemon.exit_within(Duration::from_secs(30)).expect("daemon ignored SIGTERM");
+    assert!(status.success(), "SIGTERM must exit 0, got {status:?}");
     assert!(!socket.exists(), "SIGTERM drain must remove the socket file");
     assert!(store.exists(), "the store must be flushed at startup");
+}
+
+#[test]
+fn an_idle_connection_does_not_stall_the_sigterm_drain() {
+    let dir = tmp_dir("idle_drain");
+    let store = dir.join("daemon.store");
+    let socket = dir.join("vpod.sock");
+    for p in [&store, &socket] {
+        std::fs::remove_file(p).ok();
+    }
+
+    let mut daemon = spawn_daemon(&store, &socket, &[]);
+    // A client that connects and never sends its request frame.
+    let mut idle = UnixStream::connect(&socket).unwrap();
+    std::thread::sleep(Duration::from_millis(200)); // let a worker take it
+    daemon.terminate();
+    let status = daemon.exit_within(READ_DEADLINE + MARGIN);
+    assert!(
+        status.is_some_and(|s| s.success()),
+        "an idle client must not hold the drain past the read deadline: {status:?}"
+    );
+    assert!(!socket.exists(), "SIGTERM drain must remove the socket file");
+    // The timed-out read was answered like any other frame error.
+    let reply = Response::from_bytes(&read_frame(&mut idle).unwrap()).unwrap();
+    assert!(matches!(reply, Response::Error { .. }), "{reply:?}");
+}
+
+#[test]
+fn idle_connections_on_every_worker_do_not_starve_warm_queries() {
+    let dir = tmp_dir("idle_pool");
+    let store = dir.join("daemon.store");
+    let socket = dir.join("vpod.sock");
+    for p in [&store, &socket] {
+        std::fs::remove_file(p).ok();
+    }
+
+    // `(max_active + max_queue + 4).max(8)` = 8 workers.
+    let mut daemon = spawn_daemon(&store, &socket, &["--max-active=1", "--max-queue=0"]);
+    let names = list_names(&socket);
+    let (ok, cold) = query(&socket, &[&names[0], "--budget=100000"]);
+    assert!(ok && cold.contains("cold:") && !cold.contains("suspended at level"), "{cold}");
+
+    // One idle connection per worker, then a warm query behind them.
+    let idle: Vec<UnixStream> = (0..8).map(|_| UnixStream::connect(&socket).unwrap()).collect();
+    std::thread::sleep(Duration::from_millis(200)); // let the workers take them
+    let limit = READ_DEADLINE + MARGIN;
+    let started = Instant::now();
+    let (ok, warm) = query(&socket, &[&names[0], &format!("--timeout={}", limit.as_millis())]);
+    assert!(ok && warm.contains("warm:"), "warm query starved behind idle clients:\n{warm}");
+    assert!(started.elapsed() < limit, "warm query took {:?}", started.elapsed());
+    drop(idle);
+
+    let (ok, bye) = query(&socket, &["--shutdown"]);
+    assert!(ok, "{bye}");
+    assert!(daemon.wait().unwrap().success());
+}
+
+#[test]
+fn sharded_daemon_adopts_a_legacy_single_store() {
+    let dir = tmp_dir("legacy");
+    let store = dir.join("legacy.store");
+    let socket = dir.join("vpod.sock");
+    for k in 0..4 {
+        std::fs::remove_file(shard_path(&store, k, 4)).ok();
+    }
+    std::fs::remove_file(&socket).ok();
+    campaign_store(&store, &["--bench", BENCH]);
+
+    // Every function is answered from the adopted records: no cold run.
+    let mut daemon = spawn_daemon(&store, &socket, &["--shards=4"]);
+    for name in list_names(&socket) {
+        let (ok, text) = query(&socket, &[&name]);
+        assert!(ok && text.contains("warm:"), "{name} must be warm:\n{text}");
+    }
+    let (ok, json) = query(&socket, &["--telemetry"]);
+    assert!(ok, "{json}");
+    assert_eq!(metric(&json, "serve.cold_runs"), 0, "{json}");
+    let (ok, bye) = query(&socket, &["--shutdown"]);
+    assert!(ok, "{bye}");
+    assert!(daemon.wait().unwrap().success());
+
+    // The startup flush re-homed every record to its shard.
+    let by_name = |mut records: Vec<FunctionRecord>| {
+        records.sort_by(|a, b| a.name.cmp(&b.name));
+        records
+    };
+    let base = ResultStore::load(&store).unwrap().records;
+    let sharded: Vec<_> = (0..4)
+        .flat_map(|k| ResultStore::load(&shard_path(&store, k, 4)).unwrap().records)
+        .collect();
+    assert_eq!(by_name(sharded), by_name(base), "shard records differ from the legacy store's");
 }
 
 #[test]
@@ -258,14 +352,9 @@ fn serve_refuses(store: &Path, socket: &Path, args: &[&str]) -> String {
         .spawn()
         .unwrap();
     let mut daemon = Daemon(child);
-    let deadline = Instant::now() + Duration::from_secs(30);
-    let status = loop {
-        if let Some(status) = daemon.try_wait().unwrap() {
-            break status;
-        }
-        assert!(Instant::now() < deadline, "daemon did not refuse the store within 30s");
-        std::thread::sleep(Duration::from_millis(20));
-    };
+    let status = daemon
+        .exit_within(Duration::from_secs(30))
+        .expect("daemon did not refuse the store within 30s");
     let mut stderr = String::new();
     daemon.stderr.take().unwrap().read_to_string(&mut stderr).unwrap();
     assert!(!status.success(), "serve must refuse the store:\n{stderr}");

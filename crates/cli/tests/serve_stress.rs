@@ -1,7 +1,8 @@
 //! Concurrency acceptance for the sharded memo daemon: multi-client
 //! stress with SIGKILL/restart keeping per-shard stores byte-identical
 //! to a serial single-client run, and in-flight dedup bounding N
-//! identical concurrent cold queries to one enumeration.
+//! identical concurrent cold queries to one enumeration. Admission and
+//! the drain are driven against one long cold run held in flight.
 //!
 //! Queries here speak the wire protocol in-process (no `vpoc query`
 //! subprocess per request) so the stress phases drive real concurrency
@@ -66,20 +67,34 @@ fn wait_for_socket(socket: &Path) {
     panic!("daemon did not open {} within 30s", socket.display());
 }
 
-/// One request over the wire, in-process: returns the progress frames
-/// seen and the terminal response.
-fn exchange(socket: &Path, req: &Request) -> (Vec<Response>, Response) {
+/// Opens a connection and sends one request frame.
+fn send(socket: &Path, req: &Request) -> UnixStream {
     let mut stream = UnixStream::connect(socket).unwrap();
     write_frame(&mut stream, &req.to_bytes()).unwrap();
+    stream
+}
+
+fn next_frame(stream: &mut UnixStream) -> Response {
+    Response::from_bytes(&read_frame(stream).unwrap()).unwrap()
+}
+
+/// Reads frames up to the terminal response: returns the progress
+/// frames seen and the terminal response.
+fn finish(stream: &mut UnixStream) -> (Vec<Response>, Response) {
     let mut progress = Vec::new();
     loop {
-        let payload = read_frame(&mut stream).unwrap();
-        let resp = Response::from_bytes(&payload).unwrap();
+        let resp = next_frame(stream);
         if resp.is_terminal() {
             return (progress, resp);
         }
         progress.push(resp);
     }
+}
+
+/// One request over the wire, in-process: returns the progress frames
+/// seen and the terminal response.
+fn exchange(socket: &Path, req: &Request) -> (Vec<Response>, Response) {
+    finish(&mut send(socket, req))
 }
 
 fn query(socket: &Path, function: &str, budget: Option<u64>) -> Response {
@@ -347,6 +362,125 @@ fn single_shard_layout_remains_the_classic_store_file() {
     let s = ResultStore::load(&store).expect("single-shard store lives at the base path");
     assert!(s.records.iter().any(|r| r.name == names[0]));
     assert!(!shard_path(&store, 0, 4).exists(), "no shard suffix under --shards 1");
+}
+
+/// A cold function that runs for seconds: 5112 instances over 19 levels
+/// with no node cap, about 4 s at `--jobs=1` (the default budget covers
+/// it in one session).
+const SLOW: &str = "fft::fft_inlined";
+/// The serving options the admission and drain tests share: one
+/// enumeration at a time, on one worker thread.
+const ONE_SLOT: &[&str] = &["--bench=fft", "--jobs=1", "--max-active=1"];
+
+/// Starts a cold query for `function` and returns its connection once
+/// the first `Progress` frame shows the run holds its slot.
+fn start_cold(socket: &Path, function: &str) -> UnixStream {
+    let mut stream = send(socket, &Request::Query { function: function.into(), budget: None });
+    let first = next_frame(&mut stream);
+    assert!(matches!(first, Response::Progress { .. }), "expected progress, got {first:?}");
+    stream
+}
+
+/// Whether `function` has no record yet (its first run is in flight).
+fn unexplored(socket: &Path, function: &str) -> bool {
+    match exchange(socket, &Request::List).1 {
+        Response::List { entries } => {
+            entries.iter().find(|e| e.name == function).unwrap().state.is_none()
+        }
+        other => panic!("--list returned {other:?}"),
+    }
+}
+
+fn fresh_single_store(tag: &str) -> (TmpDir, PathBuf, PathBuf) {
+    let dir = tmp_dir(tag);
+    let (store, socket) = (dir.join("fft.store"), dir.join("fft.sock"));
+    for p in [&store, &socket] {
+        std::fs::remove_file(p).ok();
+    }
+    (dir, store, socket)
+}
+
+#[test]
+fn admission_refuses_past_max_queue_and_queues_within_it() {
+    // `--max-queue=0`: while the one slot is taken, a cold query for
+    // another function is refused, and a warm one is still answered.
+    let (_dir, store, socket) = fresh_single_store("admit0");
+    let mut daemon = spawn_daemon(&store, &socket, &[ONE_SLOT, &["--max-queue=0"]].concat());
+    assert!(is_done(&query(&socket, "fft::fft_main", None)));
+    let mut cold = start_cold(&socket, SLOW);
+    let refused = query(&socket, "fft::fft_window", None);
+    assert!(matches!(refused, Response::Overloaded { .. }), "{refused:?}");
+    assert_eq!(metric(&telemetry_json(&socket), "serve.rejected"), 1);
+    let warm = query(&socket, "fft::fft_main", None);
+    assert!(matches!(warm, Response::Memo { served: Served::Warm, .. }), "{warm:?}");
+    assert!(unexplored(&socket, SLOW), "the cold run must still be in flight");
+    assert!(is_done(&finish(&mut cold).1));
+    let (_, bye) = exchange(&socket, &Request::Shutdown);
+    assert!(matches!(bye, Response::ShuttingDown));
+    assert!(daemon.wait().unwrap().success());
+
+    // `--max-queue=1`: the second cold query waits for the slot without
+    // a frame, then runs once the first releases it.
+    let (_dir, store, socket) = fresh_single_store("admit1");
+    let mut daemon = spawn_daemon(&store, &socket, &[ONE_SLOT, &["--max-queue=1"]].concat());
+    let mut cold = start_cold(&socket, SLOW);
+    let mut waiting =
+        send(&socket, &Request::Query { function: "fft::fft_window".into(), budget: None });
+    waiting.set_read_timeout(Some(Duration::from_millis(300))).unwrap();
+    let early = read_frame(&mut waiting);
+    assert!(early.as_ref().is_err_and(|e| e.is_timeout()), "queued query answered early");
+    waiting.set_read_timeout(None).unwrap();
+    assert!(is_done(&finish(&mut cold).1));
+    let queued = finish(&mut waiting).1;
+    assert!(matches!(queued, Response::Memo { served: Served::Cold { .. }, .. }), "{queued:?}");
+    assert!(is_done(&queued));
+    let json = telemetry_json(&socket);
+    assert_eq!(metric(&json, "serve.rejected"), 0, "{json}");
+    assert_eq!(metric(&json, "serve.cold_runs"), 2, "{json}");
+    let (_, bye) = exchange(&socket, &Request::Shutdown);
+    assert!(matches!(bye, Response::ShuttingDown));
+    assert!(daemon.wait().unwrap().success());
+}
+
+#[test]
+fn sigterm_drains_a_cold_query_in_flight_and_a_restart_completes_it() {
+    let (dir, store, socket) = fresh_single_store("drain");
+    let mut daemon = spawn_daemon(&store, &socket, ONE_SLOT);
+    let mut cold = start_cold(&socket, SLOW);
+    daemon.terminate();
+    match finish(&mut cold).1 {
+        Response::Memo { record, .. } => assert!(record.is_resumable(), "the drain suspends"),
+        Response::ShuttingDown => {}
+        other => panic!("drained cold query got {other:?}"),
+    }
+    let status = daemon.exit_within(Duration::from_secs(30)).expect("daemon ignored SIGTERM");
+    assert!(status.success(), "SIGTERM must exit 0, got {status:?}");
+    assert!(!socket.exists(), "the drain must remove the socket file");
+
+    // A restarted daemon deepens the function to the campaign's record.
+    let mut daemon = spawn_daemon(&store, &socket, ONE_SLOT);
+    for round in 0.. {
+        if is_done(&query(&socket, SLOW, None)) {
+            break;
+        }
+        assert!(round < 10, "{SLOW} never completed after the restart");
+    }
+    let (_, bye) = exchange(&socket, &Request::Shutdown);
+    assert!(matches!(bye, Response::ShuttingDown));
+    assert!(daemon.wait().unwrap().success());
+
+    let reference = dir.join("campaign.store");
+    std::fs::remove_file(&reference).ok();
+    let out = vpoc()
+        .args(["campaign", "--bench=fft", SLOW, &format!("--store={}", reference.display())])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "campaign failed:\n{}", String::from_utf8_lossy(&out.stderr));
+    let record_of = |path: &Path| {
+        let records = ResultStore::load(path).unwrap().records;
+        records.into_iter().find(|r| r.name == SLOW).expect("a record for the slow function")
+    };
+    assert_eq!(record_of(&store), record_of(&reference), "restarted daemon's record differs");
 }
 
 /// EXPERIMENTS.md harness: warm-query p50 while a cold run is active on

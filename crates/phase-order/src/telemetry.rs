@@ -295,9 +295,6 @@ pub struct Telemetry {
     pub serve_cold_expanded: Counter,
     /// Streamed `Progress` frames written to cold-query clients.
     pub serve_progress_frames: Counter,
-    /// Time each accepted connection spent in the bounded work queue
-    /// before a worker picked it up.
-    pub serve_accept_wait_ns: Histogram,
 
     // -- differential oracle --
     /// Distinct instances executed on the battery.
@@ -371,7 +368,6 @@ impl Telemetry {
             serve_dedup_attached: Counter::new("serve.dedup_attached", false),
             serve_cold_expanded: Counter::new("serve.cold_expanded", false),
             serve_progress_frames: Counter::new("serve.progress_frames", false),
-            serve_accept_wait_ns: Histogram::new("serve.accept_wait_ns"),
             oracle_instances: Counter::new("oracle.instances", true),
             oracle_merged_paths: Counter::new("oracle.merged_paths", true),
             oracle_simulations: Counter::new("oracle.simulations", true),
@@ -425,7 +421,6 @@ impl Telemetry {
             C(&self.serve_dedup_attached),
             C(&self.serve_cold_expanded),
             C(&self.serve_progress_frames),
-            H(&self.serve_accept_wait_ns),
             C(&self.oracle_instances),
             C(&self.oracle_merged_paths),
             C(&self.oracle_simulations),
